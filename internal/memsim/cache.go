@@ -47,12 +47,12 @@ type Cache struct {
 	clock uint32
 
 	// memoTag/memoIdx memoize the ways that served the most recent hits,
-	// direct-mapped by the line's low bits: operators touch several fields
-	// of one node, and the stream prefetcher re-installs a sliding window of
-	// lines it filled one access earlier, so re-touching a just-used line is
-	// the common case and skips the set scan. Entries are validated against
-	// the backing word before use, so Insert/Invalidate/Reset can never
-	// serve a stale way.
+	// direct-mapped by a Fibonacci hash of the tag (memoSlot): operators
+	// touch several fields of one node, and the stream prefetcher
+	// re-installs a sliding window of lines it filled one access earlier, so
+	// re-touching a just-used line is the common case and skips the set
+	// scan. Entries are validated against the backing word before use, so
+	// Insert/Invalidate/Reset can never serve a stale way.
 	memoTag [cacheMemoEntries]uint32
 	memoIdx [cacheMemoEntries]int32
 
@@ -72,9 +72,26 @@ type Cache struct {
 	evictions uint64
 }
 
-// cacheMemoEntries is the hit-way memo size (a power of two), covering the
-// stream prefetcher's fill window plus the demand line it trails.
-const cacheMemoEntries = 8
+// cacheMemoBits sizes the hit-way memo at 64 entries. A probe keeps several
+// streams live at once — input tuples, output buffer, their prefetch windows
+// — plus the node lines it chases, and 64 hashed slots hold all of them with
+// room to spare. The slot is a hash, not the tag's low bits, because the
+// probe's streams advance in lockstep at line offsets that agree in their
+// low bits, and low-bit slots would make them evict each other on every
+// access.
+const (
+	cacheMemoBits    = 6
+	cacheMemoEntries = 1 << cacheMemoBits
+)
+
+// memoSlot maps a key (cache tag, TLB page or MSHR line) to one of
+// 1<<slotBits memo slots by Fibonacci hashing: the multiply by 2^64/phi
+// mixes every key bit into the top bits it keeps, so keys that agree in
+// their low bits spread over the whole memo, and any run of consecutive keys
+// up to half the memo's size lands in distinct slots.
+func memoSlot(key uint64, slotBits uint) int {
+	return int(key * 0x9E3779B97F4A7C15 >> (64 - slotBits))
+}
 
 // noLine is an impossible line number (tagOf rejects it), used to mark the
 // miss-victim memo as empty.
@@ -169,7 +186,7 @@ func (c *Cache) renormalize() {
 // node-field re-touches and stream-filled lines — is checked first.
 func (c *Cache) Lookup(line uint64) bool {
 	tag := tagOf(line)
-	if s := tag & (cacheMemoEntries - 1); c.memoTag[s] == tag {
+	if s := memoSlot(uint64(tag), cacheMemoBits); c.memoTag[s] == tag {
 		if idx := c.memoIdx[s]; uint32(c.words[idx]) == tag {
 			c.words[idx] = uint64(c.tick())<<32 | uint64(tag)
 			c.hits++
@@ -180,38 +197,22 @@ func (c *Cache) Lookup(line uint64) bool {
 }
 
 // lookupSlow scans the set for tag, refreshing recency on a hit. On a miss
-// it additionally records the victim way (same selection rule as
-// insertSlowAt) so that the fill this miss triggers can insert without
-// rescanning the set. The victim scan runs only after the hit scan failed —
-// hits stay one compare per way, and the miss's second pass re-reads words
-// the first pass just pulled into the host's cache.
+// it additionally records the victim way (victimWay, as insertSlowAt picks
+// it) so that the fill this miss triggers can insert without rescanning the
+// set. The victim pass runs only after the hit scan failed — hits stay one
+// compare per way, and the miss's second pass re-reads words the first pass
+// just pulled into the host's cache.
 func (c *Cache) lookupSlow(line uint64, tag uint32) bool {
 	base := c.setBase(line)
 	words := c.words[base : base+c.ways]
-	for w := range words {
-		if uint32(words[w]) == tag {
-			words[w] = uint64(c.tick())<<32 | uint64(tag)
-			c.hits++
-			c.memoize(tag, base+w)
-			return true
-		}
+	if w := findWay(words, tag); w >= 0 {
+		words[w] = uint64(c.tick())<<32 | uint64(tag)
+		c.hits++
+		c.memoize(tag, base+w)
+		return true
 	}
 	c.misses++
-	invalid, lru := -1, 0
-	lruUse := ^uint32(0)
-	for w := range words {
-		word := words[w]
-		if uint32(word) == 0 {
-			invalid = w
-		} else if invalid < 0 && uint32(word>>32) < lruUse {
-			lru, lruUse = w, uint32(word>>32)
-		}
-	}
-	if invalid >= 0 {
-		c.missVictim = int32(base + invalid)
-	} else {
-		c.missVictim = int32(base + lru)
-	}
+	c.missVictim = int32(base + victimWay(words))
 	c.missLine = line
 	c.missClock = c.clock
 	return false
@@ -221,7 +222,7 @@ func (c *Cache) lookupSlow(line uint64, tag uint32) bool {
 // statistics. It is used by prefetch filtering.
 func (c *Cache) Contains(line uint64) bool {
 	tag := tagOf(line)
-	if s := tag & (cacheMemoEntries - 1); c.memoTag[s] == tag {
+	if s := memoSlot(uint64(tag), cacheMemoBits); c.memoTag[s] == tag {
 		if uint32(c.words[c.memoIdx[s]]) == tag {
 			return true
 		}
@@ -232,13 +233,32 @@ func (c *Cache) Contains(line uint64) bool {
 // containsSlow scans the set for tag without side effects.
 func (c *Cache) containsSlow(line uint64, tag uint32) bool {
 	base := c.setBase(line)
-	words := c.words[base : base+c.ways]
-	for w := range words {
-		if uint32(words[w]) == tag {
-			return true
+	return findWay(c.words[base:base+c.ways], tag) >= 0
+}
+
+// findWay returns the index within words of the way holding tag, or -1.
+func findWay(words []uint64, tag uint32) int {
+	for w, word := range words {
+		if uint32(word) == tag {
+			return w
 		}
 	}
-	return false
+	return -1
+}
+
+// victimWay returns the index within words of the way an insert into this
+// set replaces: the highest-index invalid way if any, otherwise the least
+// recently used way. One minimum over stamp<<32 | ^way decides both rules
+// without a branch per way: an invalid way's word is all zero, so its key is
+// below every live key (tick and renormalize hand out stamps from 1) and
+// among invalid ways the complemented index prefers the highest; live
+// stamps are unique, so the lowest stamp wins outright.
+func victimWay(words []uint64) int {
+	best := ^uint64(0)
+	for w, word := range words {
+		best = min(best, word&^0xffffffff|uint64(^uint32(w)))
+	}
+	return int(^uint32(best))
 }
 
 // Insert places line in the cache, evicting the least recently used way of
@@ -248,7 +268,7 @@ func (c *Cache) containsSlow(line uint64, tag uint32) bool {
 // stream prefetcher hits three times per re-installed line.
 func (c *Cache) Insert(line uint64) (evicted uint64, ok bool) {
 	tag := tagOf(line)
-	if s := tag & (cacheMemoEntries - 1); c.memoTag[s] == tag {
+	if s := memoSlot(uint64(tag), cacheMemoBits); c.memoTag[s] == tag {
 		if idx := c.memoIdx[s]; uint32(c.words[idx]) == tag {
 			c.words[idx] = uint64(c.tick())<<32 | uint64(tag)
 			return 0, false
@@ -272,11 +292,9 @@ func (c *Cache) Insert(line uint64) (evicted uint64, ok bool) {
 	return c.insertSlow(line, tag)
 }
 
-// insertSlow handles the non-memoized insert: refresh, fill an invalid way,
-// or evict the LRU way. One pass finds the present way, the last invalid
-// way and the LRU way together (victim selection is bit-compatible with the
-// original two-array scan: the last invalid way wins if any way is invalid,
-// otherwise the lowest use stamp; stamps are unique so ties cannot occur).
+// insertSlow handles the non-memoized insert: refresh the way already
+// holding the line, or else replace victimWay's choice (an invalid way, or
+// the LRU way, which counts as an eviction).
 func (c *Cache) insertSlow(line uint64, tag uint32) (evicted uint64, ok bool) {
 	return c.insertSlowAt(c.setBase(line), tag)
 }
@@ -285,30 +303,17 @@ func (c *Cache) insertSlow(line uint64, tag uint32) (evicted uint64, ok bool) {
 // steps it incrementally).
 func (c *Cache) insertSlowAt(base int, tag uint32) (evicted uint64, ok bool) {
 	stamp := c.tick()
-
 	words := c.words[base : base+c.ways]
-	invalid, lru := -1, 0
-	lruUse := ^uint32(0)
-	for w := range words {
-		switch {
-		case uint32(words[w]) == tag:
-			words[w] = uint64(stamp)<<32 | uint64(tag)
-			c.memoize(tag, base+w)
-			return 0, false
-		case uint32(words[w]) == 0:
-			invalid = w
-		case invalid < 0 && uint32(words[w]>>32) < lruUse:
-			lru, lruUse = w, uint32(words[w]>>32)
-		}
+	w := findWay(words, tag)
+	if w < 0 {
+		w = victimWay(words)
 	}
-	if invalid >= 0 {
-		words[invalid] = uint64(stamp)<<32 | uint64(tag)
-		c.memoize(tag, base+invalid)
+	old := uint32(words[w])
+	words[w] = uint64(stamp)<<32 | uint64(tag)
+	c.memoize(tag, base+w)
+	if old == 0 || old == tag {
 		return 0, false
 	}
-	old := uint32(words[lru])
-	words[lru] = uint64(stamp)<<32 | uint64(tag)
-	c.memoize(tag, base+lru)
 	c.evictions++
 	return uint64(old) - 1, true
 }
@@ -318,14 +323,15 @@ func (c *Cache) insertSlowAt(base int, tag uint32) (evicted uint64, ok bool) {
 // resulting state and statistics are identical). The stream prefetcher
 // re-installs its fill window on every stream hit; batching lets the span
 // share the tag arithmetic and step the set index instead of recomputing it,
-// and consecutive tags occupy consecutive memo slots, so the common
-// all-refresh case runs without a single set scan.
+// and the Fibonacci-hashed memo places a window of consecutive tags in
+// distinct slots, so the common all-refresh case runs without a single set
+// scan.
 func (c *Cache) InsertSpan(first uint64, n int) {
 	tag := tagOf(first+uint64(n-1)) - uint32(n-1) // bound-check once
 	base := c.setBase(first)
 	limit := len(c.words)
 	for i := 0; i < n; i++ {
-		if s := tag & (cacheMemoEntries - 1); c.memoTag[s] == tag {
+		if s := memoSlot(uint64(tag), cacheMemoBits); c.memoTag[s] == tag {
 			if idx := c.memoIdx[s]; uint32(c.words[idx]) == tag {
 				c.words[idx] = uint64(c.tick())<<32 | uint64(tag)
 				tag++
@@ -348,7 +354,7 @@ func (c *Cache) InsertSpan(first uint64, n int) {
 // backing word, so a memoized line that was since evicted or displaced
 // simply misses the memo.
 func (c *Cache) memoize(tag uint32, idx int) {
-	s := tag & (cacheMemoEntries - 1)
+	s := memoSlot(uint64(tag), cacheMemoBits)
 	c.memoTag[s] = tag
 	c.memoIdx[s] = int32(idx)
 }
@@ -357,14 +363,11 @@ func (c *Cache) memoize(tag uint32, idx int) {
 func (c *Cache) Invalidate(line uint64) {
 	tag := tagOf(line)
 	base := c.setBase(line)
-	for w := 0; w < c.ways; w++ {
-		if uint32(c.words[base+w]) == tag {
-			c.words[base+w] = 0
-			// Invalidation does not tick the clock, so the miss-victim memo
-			// must be voided explicitly.
-			c.missLine = noLine
-			return
-		}
+	if w := findWay(c.words[base:base+c.ways], tag); w >= 0 {
+		c.words[base+w] = 0
+		// Invalidation does not tick the clock, so the miss-victim memo
+		// must be voided explicitly.
+		c.missLine = noLine
 	}
 }
 

@@ -30,17 +30,21 @@ type MSHRFile struct {
 	// recomputes it, so it is always exact, never just a bound.
 	minReady uint64
 
-	// memoLine/memoIdx map a line's low bits to the entry tracking it, so
-	// the prefetch-then-demand pattern resolves its MSHR hit in one compare.
-	// Lines are unique in the file (Allocate only runs after a Lookup miss),
-	// and entries are validated before use, so a drained or reused entry
-	// simply misses the memo.
+	// memoLine/memoIdx map a Fibonacci hash of a line (memoSlot) to the
+	// entry tracking it, so the prefetch-then-demand pattern resolves its
+	// MSHR hit in one compare. Lines are unique in the file (Allocate only
+	// runs after a Lookup miss), and entries are validated before use, so a
+	// drained or reused entry simply misses the memo.
 	memoLine [mshrMemoEntries]uint64
 	memoIdx  [mshrMemoEntries]int
 }
 
-// mshrMemoEntries is the lookup memo size (a power of two).
-const mshrMemoEntries = 8
+// mshrMemoBits sizes the lookup memo at 8 entries, close to the file's
+// size (10 on the Xeon, 8 on the T4).
+const (
+	mshrMemoBits    = 3
+	mshrMemoEntries = 1 << mshrMemoBits
+)
 
 // NewMSHRFile returns a file with n entries.
 func NewMSHRFile(n int) *MSHRFile {
@@ -55,14 +59,14 @@ func (m *MSHRFile) Lookup(line uint64) *mshrEntry {
 	if m.outstanding == 0 {
 		return nil
 	}
-	if s := line & (mshrMemoEntries - 1); m.memoLine[s] == line {
+	if s := memoSlot(line, mshrMemoBits); m.memoLine[s] == line {
 		if e := &m.entries[m.memoIdx[s]]; e.valid && e.line == line {
 			return e
 		}
 	}
 	for i := range m.entries {
 		if m.entries[i].valid && m.entries[i].line == line {
-			s := line & (mshrMemoEntries - 1)
+			s := memoSlot(line, mshrMemoBits)
 			m.memoLine[s] = line
 			m.memoIdx[s] = i
 			return &m.entries[i]
@@ -98,7 +102,7 @@ func (m *MSHRFile) Allocate(line, ready uint64, src prof.Cat) bool {
 			if offchip {
 				m.offchip++
 			}
-			s := line & (mshrMemoEntries - 1)
+			s := memoSlot(line, mshrMemoBits)
 			m.memoLine[s] = line
 			m.memoIdx[s] = i
 			return true

@@ -15,23 +15,29 @@ type TLB struct {
 	// lastPage caches the most recent translation; with large pages almost
 	// every access hits it, which keeps the simulator fast.
 	lastPage uint64
-	// memoPage/memoIdx extend lastPage to the last few distinct pages,
-	// direct-mapped by the page's low bits: operators alternate between a
-	// handful of pages (input relation, index nodes, output buffer), which
-	// defeats a single-entry memo. A memo hit replays exactly the effects of
-	// a scan hit (clock tick, use stamp, hit count), and every entry is
-	// validated against the backing array before use, so evictions can never
-	// serve a stale translation.
+	// memoPage/memoIdx extend lastPage to recently used pages, direct-mapped
+	// by a Fibonacci hash of the page number (memoSlot): operators alternate
+	// between several pages (input relation, index nodes, output buffer),
+	// which defeats a single-entry memo. A memo hit replays exactly the
+	// effects of a scan hit (clock tick, use stamp, hit count), and every
+	// entry is validated against the backing array before use, so evictions
+	// can never serve a stale translation.
 	memoPage [tlbMemoEntries]uint64
 	memoIdx  [tlbMemoEntries]int
 	misses   uint64
 	hits     uint64
 }
 
-// tlbMemoEntries is the recent-translation memo size (a power of two):
-// enough for the pages an operator stage touches per lookup (tuple, node,
-// output, spill) with headroom against low-bit collisions.
-const tlbMemoEntries = 8
+// tlbMemoBits sizes the recent-translation memo at 128 entries, as many as
+// the largest configured TLB (the SPARC T4's; the Xeon's has 64), so every
+// resident page can hold a slot. The slot is a hash, not the page's low
+// bits, because streams whose pages advance in lockstep have page numbers
+// that agree in their low bits, and low-bit slots would make them evict
+// each other's entries and fall through to the full scan.
+const (
+	tlbMemoBits    = 7
+	tlbMemoEntries = 1 << tlbMemoBits
+)
 
 // NewTLB constructs a TLB from its configuration; cfg must have been
 // validated (power-of-two page size, positive entry count).
@@ -68,7 +74,7 @@ func (t *TLB) Translate(a Addr) bool {
 // first from the recent-translation memo, then by scanning the entries,
 // installing the page on a miss.
 func (t *TLB) translateSlow(page uint64) bool {
-	if s := page & (tlbMemoEntries - 1); t.memoPage[s] == page {
+	if s := memoSlot(page, tlbMemoBits); t.memoPage[s] == page {
 		i := t.memoIdx[s]
 		if t.pages[i] == page {
 			t.clock++
@@ -109,7 +115,7 @@ func (t *TLB) translateSlow(page uint64) bool {
 
 // memoize records where page lives for the recent-translation memo.
 func (t *TLB) memoize(page uint64, idx int) {
-	s := page & (tlbMemoEntries - 1)
+	s := memoSlot(page, tlbMemoBits)
 	t.memoPage[s] = page
 	t.memoIdx[s] = idx
 }

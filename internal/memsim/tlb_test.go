@@ -1,6 +1,10 @@
 package memsim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+	"testing/quick"
+)
 
 func TestTLBHitAndMiss(t *testing.T) {
 	tlb := NewTLB(TLBConfig{Entries: 2, PageBytes: 1 << 12, MissPenaltyCycles: 30})
@@ -56,5 +60,75 @@ func TestTLBReset(t *testing.T) {
 	}
 	if tlb.Translate(0) {
 		t.Fatal("translation should miss after Reset")
+	}
+}
+
+// referenceTLB is an obviously-correct fully associative, true-LRU TLB: a
+// slice of page numbers ordered from most to least recently used.
+type referenceTLB struct {
+	pages   []uint64
+	entries int
+}
+
+func (r *referenceTLB) translate(page uint64) bool {
+	for i, p := range r.pages {
+		if p == page {
+			copy(r.pages[1:i+1], r.pages[:i])
+			r.pages[0] = page
+			return true
+		}
+	}
+	if len(r.pages) < r.entries {
+		r.pages = append(r.pages, 0)
+	}
+	copy(r.pages[1:], r.pages)
+	r.pages[0] = page
+	return false
+}
+
+// TestTLBMatchesReferenceModel replays random page traces on the TLB and on
+// the reference model and requires identical hits and misses access for
+// access. Each trace draws from more distinct pages than both the TLB's
+// entries and its memo slots, and half the draws come from a family of
+// pages that agree in their low 8 bits, which collided in a memo indexed by
+// low bits.
+func TestTLBMatchesReferenceModel(t *testing.T) {
+	const pageShift = 21 // 2 MB pages, as in the Xeon model
+	for _, entries := range []int{2, 64, 128} {
+		t.Run(fmt.Sprintf("%d_entries", entries), func(t *testing.T) {
+			f := func(seed uint64) bool {
+				tlb := NewTLB(TLBConfig{Entries: entries, PageBytes: 1 << pageShift, MissPenaltyCycles: 30})
+				ref := &referenceTLB{entries: entries}
+				distinct := uint64(2*max(entries, tlbMemoEntries) + 7)
+				state := seed
+				next := func() uint64 {
+					state = state*6364136223846793005 + 1442695040888963407
+					return state >> 33
+				}
+				var hits, misses uint64
+				for i := 0; i < 5000; i++ {
+					page := next() % distinct
+					if next()%2 == 0 {
+						page = page%uint64(entries/2+3)<<8 | 0x2a // shared low bits
+					}
+					// Any byte of the page translates the same way.
+					a := Addr(page<<pageShift | next()%(1<<pageShift))
+					got, want := tlb.Translate(a), ref.translate(page)
+					if want {
+						hits++
+					} else {
+						misses++
+					}
+					if got != want {
+						t.Errorf("seed %d, access %d: Translate(page %d) hit=%v, reference %v", seed, i, page, got, want)
+						return false
+					}
+				}
+				return tlb.Hits() == hits && tlb.Misses() == misses
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
