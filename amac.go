@@ -48,19 +48,20 @@ func Run[S any](c *Core, m Machine[S], opts Options) RunStats {
 
 // RunBaseline executes the machine one lookup at a time with no prefetching.
 func RunBaseline[S any](c *Core, m Machine[S]) {
-	exec.Baseline(c, m)
+	ops.RunMachine(c, m, ops.Baseline, ops.Params{})
 }
 
 // RunGroupPrefetch executes the machine under Group Prefetching with the
-// given group size.
+// given group size (values below 1 run groups of one).
 func RunGroupPrefetch[S any](c *Core, m Machine[S], group int) {
-	exec.GroupPrefetch(c, m, group)
+	ops.RunMachine(c, m, ops.GP, ops.Params{Window: max(group, 1)})
 }
 
 // RunSoftwarePipeline executes the machine under Software-Pipelined
-// Prefetching with the given number of in-flight lookups.
+// Prefetching with the given number of in-flight lookups (values below 1
+// run one).
 func RunSoftwarePipeline[S any](c *Core, m Machine[S], inflight int) {
-	exec.SoftwarePipeline(c, m, inflight)
+	ops.RunMachine(c, m, ops.SPP, ops.Params{Window: max(inflight, 1)})
 }
 
 // Technique selects one of the four execution schemes when using RunWith.

@@ -7,7 +7,7 @@
 // pipelining is flexibility: per-slot state makes the number of in-flight
 // accesses a runtime knob and tolerates divergent control flow. This package
 // turns that argument into a subsystem. A Controller watches cheap per-window
-// execution samples (package exec's Window, fed by core.Run/RunStream) and
+// execution samples (package exec's Window, fed by the AMAC engine) and
 // per-segment cycle counts, and drives two loops:
 //
 //   - Technique selection (probe/exploit): a short probe epoch measures every
@@ -276,17 +276,20 @@ func (ctl *Controller) tailSafe() bool {
 // Width returns the AMAC width currently in force.
 func (ctl *Controller) Width() int { return ctl.width.W }
 
-// amacOptions assembles the AMAC engine options with the width controller
-// and the controller's trace sink attached.
-func (ctl *Controller) amacOptions() core.Options {
-	return core.Options{
-		Width:         ctl.width.W,
+// amacParams assembles the AMAC engine parameters with the width
+// controller attached.
+func (ctl *Controller) amacParams() ops.Params {
+	return ops.Params{
+		Window:        ctl.width.W,
 		Controller:    ctl.width,
 		MaxWidth:      ctl.cfg.MaxWidth,
 		ProbeInterval: ctl.cfg.ProbeInterval,
-		Trace:         ctl.trace,
 	}
 }
+
+// amacOptions is amacParams as engine options, with the controller's trace
+// sink attached.
+func (ctl *Controller) amacOptions() core.Options { return ctl.amacParams().AMACOptions(ctl.trace) }
 
 // account tallies one executed segment.
 func (ctl *Controller) account(tech ops.Technique, lookups int, sched core.RunStats) {

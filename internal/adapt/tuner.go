@@ -141,15 +141,13 @@ func (ctl *Controller) GroupWindow(tech ops.Technique) int { return ctl.groupWin
 type Lease struct {
 	// Tech is the engine to run.
 	Tech ops.Technique
-	// Window is the GP/SPP group size for this lease.
-	Window int
+	// Params are the engine parameters: the GP/SPP group size for this
+	// lease, or for an AMAC lease the controller's persistent width state.
+	Params ops.Params
 	// Quota is the admission budget.
 	Quota int
 	// Probe marks a calibration lease (a candidate being measured).
 	Probe bool
-	// AMACOpts are the engine options for an AMAC lease, with the
-	// controller's persistent width state attached.
-	AMACOpts core.Options
 }
 
 // StreamTuner is the decision loop of adaptive streaming execution, factored
@@ -203,11 +201,11 @@ func (t *StreamTuner) Next() Lease {
 		// recovers.
 		tech = ops.AMAC
 	}
-	l := Lease{Tech: tech, Window: cfg.Window, Quota: quota, Probe: probe}
+	l := Lease{Tech: tech, Params: ops.Params{Window: cfg.Window}, Quota: quota, Probe: probe}
 	if tech == ops.AMAC {
-		l.AMACOpts = ctl.amacOptions()
+		l.Params = ctl.amacParams()
 	} else if !probe {
-		l.Window = ctl.groupWindow(tech)
+		l.Params.Window = ctl.groupWindow(tech)
 	}
 	return l
 }
@@ -286,18 +284,7 @@ func (t *StreamTuner) Observe(l Lease, completed int, busyCycles uint64, sched c
 func RunLease[S any](c *memsim.Core, src exec.Source[S], t *StreamTuner, l Lease, gate func() bool, noWait bool) (*exec.LeaseSource[S], core.RunStats) {
 	lease := &exec.LeaseSource[S]{Src: src, Quota: l.Quota, Gate: gate, NoWait: noWait}
 	before := c.Stats()
-	var sched core.RunStats
-	tr := t.ctl.trace
-	switch l.Tech {
-	case ops.Baseline:
-		exec.BaselineStreamTraced(c, lease, tr)
-	case ops.GP:
-		exec.GroupPrefetchStreamTraced(c, lease, l.Window, tr)
-	case ops.SPP:
-		exec.SoftwarePipelineStreamTraced(c, lease, l.Window, tr)
-	case ops.AMAC:
-		sched = core.RunStream(c, lease, l.AMACOpts)
-	}
+	sched := ops.RunSource(c, lease, l.Tech, l.Params, t.ctl.trace)
 	after := c.Stats()
 	busy := (after.Cycles - before.Cycles) - (after.IdleCycles - before.IdleCycles)
 	t.ctl.now = c.Cycle()

@@ -25,8 +25,6 @@
 package core
 
 import (
-	"sync"
-
 	"amac/internal/exec"
 	"amac/internal/memsim"
 	"amac/internal/obs"
@@ -97,7 +95,7 @@ type Options struct {
 	// is closed on its next visit — the slot drains exactly like a shrunk
 	// window retires, the in-flight memory ops are left to settle in the
 	// MSHRs, and the request is reported through exec.FailSink instead of
-	// Complete. Batch runs ignore it (a batch has no admission times).
+	// Complete. Run ignores it (a batch has no admission times).
 	Deadline uint64
 }
 
@@ -146,252 +144,23 @@ func (o Options) probeInterval(width int) int {
 	return n
 }
 
-// slot is one circular-buffer entry. The lookup's operator-specific state
-// (key, rid, pointer, ...) lives in the parallel states slice owned by Run;
-// the slot records the scheduling fields.
-type slot struct {
-	busy    bool
-	stage   int
-	retries uint64
-}
-
-// slotPool recycles the circular-buffer scheduling slots across runs, so
-// sweeps that execute the engine thousands of times (figure 6 alone runs it
-// once per window per skew) reuse one buffer. The generic per-lookup state
-// slice []S is recycled through exec.GetStates' per-type pools.
-var slotPool sync.Pool
-
-// getSlots returns a zeroed slot buffer of length n from the pool.
-func getSlots(n int) *[]slot { return exec.GetPooled[slot](&slotPool, n) }
-
 // Run executes every lookup of the machine using AMAC with the given
-// options and returns scheduling statistics.
+// options and returns scheduling statistics. It is the streaming engine
+// over an exec.MachineSource, which admits the whole batch at cycle 0 and
+// marks its last lookup, so the run ends the moment that lookup completes.
+// The batch rules: an empty machine returns at once, charging nothing; the
+// width and a controller's growth cap are clamped to the batch size; and
+// Deadline is ignored, since a batch has no admission times.
 func Run[S any](c *memsim.Core, m exec.Machine[S], opts Options) RunStats {
 	width := opts.resolveWidth(c)
 	n := m.NumLookups()
 	if n == 0 {
 		return RunStats{Width: width}
 	}
-	if width > n {
-		width = n
-	}
-
-	// With a controller attached the slot buffer is provisioned at the
-	// growth cap; the active window [0, width) moves inside it. The static
-	// path allocates exactly the requested width, as before.
-	ctl := opts.Controller
-	capW := width
-	var probe widthProbe
-	if ctl != nil {
-		capW = opts.maxWidth(width)
-		if capW > n {
-			capW = n
-		}
-		probe = newWidthProbe(c, opts.probeInterval(width))
-	}
-
-	// All trace methods are nil-safe no-ops, so the event sites below run
-	// unconditionally; the disabled path pays an inlined nil check and zero
-	// allocations (see the traced-vs-untraced benchmark pair). The profiler
-	// follows the same contract.
-	tr := opts.Trace
-	p := c.Profiler()
-	p.Push(p.Frame("AMAC"))
-	defer p.Pop()
-
-	var stats RunStats
-	stats.Width = width
-	stats.MinWidth, stats.MaxWidth = width, width
-
-	states, putStates := exec.GetStates[S](capW)
-	defer putStates()
-	slotsP := getSlots(capW)
-	defer slotPool.Put(slotsP)
-	slots := *slotsP
-	next := 0 // next input lookup to initiate
-	live := 0 // slots holding unfinished lookups
-
-	// admit is the refill bound: slots [0, admit) may initiate lookups.
-	// Normally admit == width; after a shrink, admit drops first and width
-	// follows once the draining slots in [admit, width) retire.
-	admit := width
-	draining := 0
-
-	// applyWidth resizes the active window to target (already clamped).
-	// Growth activates zeroed slots immediately; shrinkage closes admission
-	// and lets the surplus in-flight lookups finish where they are.
-	applyWidth := func(target int) {
-		if target == admit {
-			return
-		}
-		stats.WidthChanges++
-		if target < stats.MinWidth {
-			stats.MinWidth = target
-		}
-		if target > stats.MaxWidth {
-			stats.MaxWidth = target
-		}
-		if target >= width {
-			width, admit, draining = target, target, 0
-			return
-		}
-		admit = target
-		draining = 0
-		for i := admit; i < width; i++ {
-			if slots[i].busy {
-				draining++
-			}
-		}
-		if draining == 0 {
-			width = admit
-		}
-	}
-
-	// Prologue: fill the circular buffer, issuing one prefetch per lookup.
-	for k := 0; k < width && next < n; k++ {
-		admitAt := c.Cycle()
-		c.Instr(CostStateSwap)
-		p.PushStage(0)
-		out := m.Init(c, &states[k], next)
-		p.Pop()
-		next++
-		stats.Initiated++
-		issue(c, out)
-		tr.SlotStart(admitAt, k, next-1)
-		if out.Prefetch != 0 {
-			tr.SlotPrefetch(c.Cycle(), k)
-		}
-		if out.Done {
-			stats.Completed++
-			tr.SlotEnd(c.Cycle(), k)
-			continue
-		}
-		slots[k] = slot{busy: true, stage: out.NextStage}
-		live++
-	}
-
-	// Main loop: the rolling counter k walks the buffer; each visit runs one
-	// code stage for the lookup stored in that slot.
-	k := 0
-	stopped := false
-	for live > 0 || (next < n && !stopped) {
-		if k >= width {
-			k = 0
-		}
-		// Sampling stops with the run: a stopped engine only drains, and a
-		// late positive verdict must not reopen admission.
-		if ctl != nil && !stopped && stats.Completed-probe.lastCompleted >= probe.interval {
-			w := probe.sample(c, admit, stats.Completed)
-			tr.EngineSample(c.Cycle(), admit, w.Outstanding)
-			switch target := ctl.Sample(w); {
-			case target < 0:
-				// StopRun: close admission and let the in-flight lookups
-				// drain; Initiated tells the caller where to resume.
-				stopped = true
-				admit = 0
-				draining = 0
-				tr.Decision(c.Cycle(), obs.DecStopRun, int64(stats.Initiated), 0)
-			case target > 0:
-				old := admit
-				applyWidth(clampWidth(target, capW))
-				if admit != old {
-					tr.WidthChange(c.Cycle(), admit)
-				}
-			}
-		}
-		s := &slots[k]
-		if !s.busy {
-			if k < admit && next < n {
-				admitAt := c.Cycle()
-				c.Instr(CostStateSwap)
-				p.PushStage(0)
-				out := m.Init(c, &states[k], next)
-				p.Pop()
-				next++
-				stats.Initiated++
-				issue(c, out)
-				tr.SlotStart(admitAt, k, next-1)
-				if out.Prefetch != 0 {
-					tr.SlotPrefetch(c.Cycle(), k)
-				}
-				if out.Done {
-					stats.Completed++
-					tr.SlotEnd(c.Cycle(), k)
-				} else {
-					*s = slot{busy: true, stage: out.NextStage}
-					live++
-				}
-			}
-			k++
-			continue
-		}
-
-		stage := s.stage
-		visitAt := c.Cycle()
-		c.Instr(CostStateSwap)
-		p.PushStage(stage)
-		out := m.Stage(c, &states[k], stage)
-		p.Pop()
-		stats.StageVisits++
-		if out.Retry {
-			// Latch held by another in-flight lookup: remember the stage to
-			// re-execute and move on to the next slot (coarse-grained spin).
-			s.stage = out.NextStage
-			s.retries++
-			stats.Retries++
-			tr.SlotRetry(c.Cycle(), k, stage)
-			k++
-			continue
-		}
-		tr.StageVisit(visitAt, c.Cycle(), k, stage)
-		if !out.Done {
-			issue(c, out)
-			if out.Prefetch != 0 {
-				tr.SlotPrefetch(c.Cycle(), k)
-			}
-			s.stage = out.NextStage
-			k++
-			continue
-		}
-
-		// The lookup completed. Initiate a new lookup in the same slot right
-		// away so an in-flight memory access is never wasted (unless the
-		// ablation disabled it, the input is exhausted, or the slot is
-		// draining out of a shrunk window).
-		stats.Completed++
-		live--
-		*s = slot{}
-		tr.SlotEnd(c.Cycle(), k)
-		if k >= admit {
-			if draining > 0 {
-				if draining--; draining == 0 {
-					width = admit
-				}
-			}
-		} else if !opts.DisableImmediateRefill && next < n {
-			admitAt := c.Cycle()
-			c.Instr(CostStateSwap)
-			p.PushStage(0)
-			out := m.Init(c, &states[k], next)
-			p.Pop()
-			next++
-			stats.Initiated++
-			issue(c, out)
-			tr.SlotStart(admitAt, k, next-1)
-			if out.Prefetch != 0 {
-				tr.SlotPrefetch(c.Cycle(), k)
-			}
-			if out.Done {
-				stats.Completed++
-				tr.SlotEnd(c.Cycle(), k)
-			} else {
-				*s = slot{busy: true, stage: out.NextStage}
-				live++
-			}
-		}
-		k++
-	}
-	return stats
+	opts.Width = min(width, n)
+	opts.MaxWidth = min(opts.maxWidth(opts.Width), n)
+	opts.Deadline = 0
+	return RunStream(c, exec.NewMachineSource(m), opts)
 }
 
 // clampWidth bounds a controller's requested width to [1, cap].

@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"amac/internal/core"
-	"amac/internal/exec"
 	"amac/internal/exec/exectest"
 	"amac/internal/memsim"
+	"amac/internal/ops"
 	"amac/internal/xrand"
 )
 
@@ -97,7 +97,7 @@ func TestAMACWidthClampedToLookupCount(t *testing.T) {
 func TestAMACBeatsBaselineOnUniformChains(t *testing.T) {
 	n, l := 400, 4
 	base := newCore()
-	exec.Baseline(base, exectest.NewChainMachine(uniformLengths(n, l), l+1))
+	ops.RunMachine(base, exectest.NewChainMachine(uniformLengths(n, l), l+1), ops.Baseline, ops.Params{})
 	amac := newCore()
 	core.Run(amac, exectest.NewChainMachine(uniformLengths(n, l), l+1), core.Options{Width: 10})
 	if amac.Cycle()*2 >= base.Cycle() {
@@ -128,7 +128,7 @@ func TestAMACRobustToIrregularChains(t *testing.T) {
 	}
 
 	gpU, gpS := cyclesPerVisit(func(c *memsim.Core, lengths []int) {
-		exec.GroupPrefetch(c, exectest.NewChainMachine(lengths, uniformLen+1), 10)
+		ops.RunMachine(c, exectest.NewChainMachine(lengths, uniformLen+1), ops.GP, ops.Params{Window: 10})
 	})
 	amacU, amacS := cyclesPerVisit(func(c *memsim.Core, lengths []int) {
 		core.Run(c, exectest.NewChainMachine(lengths, uniformLen+1), core.Options{Width: 10})
@@ -149,9 +149,9 @@ func TestAMACOutperformsGPAndSPPOnIrregularChains(t *testing.T) {
 	lengths := skewedLengths(n, 11)
 
 	gp := newCore()
-	exec.GroupPrefetch(gp, exectest.NewChainMachine(lengths, 3), 10)
+	ops.RunMachine(gp, exectest.NewChainMachine(lengths, 3), ops.GP, ops.Params{Window: 10})
 	spp := newCore()
-	exec.SoftwarePipeline(spp, exectest.NewChainMachine(lengths, 3), 10)
+	ops.RunMachine(spp, exectest.NewChainMachine(lengths, 3), ops.SPP, ops.Params{Window: 10})
 	amac := newCore()
 	core.Run(amac, exectest.NewChainMachine(lengths, 3), core.Options{Width: 10})
 
@@ -167,13 +167,13 @@ func TestAMACInstructionOverheadBelowGPAndSPP(t *testing.T) {
 	n := 500
 	lengths := uniformLengths(n, 4)
 	gp := newCore()
-	exec.GroupPrefetch(gp, exectest.NewChainMachine(lengths, 5), 10)
+	ops.RunMachine(gp, exectest.NewChainMachine(lengths, 5), ops.GP, ops.Params{Window: 10})
 	spp := newCore()
-	exec.SoftwarePipeline(spp, exectest.NewChainMachine(lengths, 5), 10)
+	ops.RunMachine(spp, exectest.NewChainMachine(lengths, 5), ops.SPP, ops.Params{Window: 10})
 	amac := newCore()
 	core.Run(amac, exectest.NewChainMachine(lengths, 5), core.Options{Width: 10})
 	base := newCore()
-	exec.Baseline(base, exectest.NewChainMachine(lengths, 5))
+	ops.RunMachine(base, exectest.NewChainMachine(lengths, 5), ops.Baseline, ops.Params{})
 
 	ai := amac.Stats().Instructions
 	if ai >= gp.Stats().Instructions || ai >= spp.Stats().Instructions {

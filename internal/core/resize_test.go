@@ -116,13 +116,15 @@ func TestAMACControllerMatchesStaticOutput(t *testing.T) {
 	}
 }
 
-// TestStreamResizeCompletesAll: the streaming engine under mid-run resizes
-// must serve every request exactly once.
+// TestStreamResizeCompletesAll: resizes while requests trickle in — the
+// engine idling between arrivals with the window changing under it — must
+// still serve every request exactly once.
 func TestStreamResizeCompletesAll(t *testing.T) {
 	for _, script := range [][]int{{16, 2, 12}, {1}, {24}} {
 		m := exectest.NewChainMachine(skewedLengths(400, 9), 5)
-		src := exec.NewMachineSource[exectest.ChainState](m)
-		stats := core.RunStream(newCore(), src, core.Options{
+		src := &sparseSource{MachineSource: exec.NewMachineSource[exectest.ChainState](m), gap: 1000, n: 400}
+		c := newCore()
+		stats := core.RunStream(c, src, core.Options{
 			Width: 8, Controller: &scriptController{widths: script}, MaxWidth: 24, ProbeInterval: 10,
 		})
 		checkAllCompleted(t, m)
@@ -131,6 +133,9 @@ func TestStreamResizeCompletesAll(t *testing.T) {
 		}
 		if stats.WidthChanges == 0 {
 			t.Fatalf("script %v: no width changes recorded", script)
+		}
+		if c.Stats().IdleCycles == 0 {
+			t.Fatalf("script %v: spaced arrivals never idled the engine", script)
 		}
 	}
 }
@@ -186,11 +191,14 @@ func TestAMACStopRunDrainsAndReports(t *testing.T) {
 }
 
 // TestStreamStopRunReturns: the streaming engine must honour StopRun even
-// while the source still has requests, draining in-flight work first.
+// while the source still has requests, draining in-flight work first — and
+// the source keeps the unserved requests, so a second run over it serves
+// exactly the rest.
 func TestStreamStopRunReturns(t *testing.T) {
 	m := exectest.NewChainMachine(skewedLengths(500, 21), 5)
-	src := exec.NewMachineSource[exectest.ChainState](m)
-	stats := core.RunStream(newCore(), src, core.Options{
+	src := &sparseSource{MachineSource: exec.NewMachineSource[exectest.ChainState](m), gap: 40, n: 500}
+	c := newCore()
+	stats := core.RunStream(c, src, core.Options{
 		Width: 8, Controller: &stopAfterController{stop: 3}, ProbeInterval: 20,
 	})
 	if stats.Initiated >= 500 {
@@ -199,6 +207,11 @@ func TestStreamStopRunReturns(t *testing.T) {
 	if stats.Completed != stats.Initiated {
 		t.Fatalf("stop must drain in-flight requests: %+v", stats)
 	}
+	rest := core.RunStream(c, src, core.Options{Width: 8})
+	if rest.Initiated != 500-stats.Initiated {
+		t.Fatalf("resumed run served %d requests, want the %d left", rest.Initiated, 500-stats.Initiated)
+	}
+	checkAllCompleted(t, m)
 }
 
 // flipFlopController stops on its second sample and would demand growth on
@@ -230,15 +243,5 @@ func TestAMACStopRunIsLatched(t *testing.T) {
 	}
 	if ctl.samples != 2 {
 		t.Fatalf("controller sampled %d times; sampling must end at the StopRun verdict", ctl.samples)
-	}
-
-	sm := exectest.NewChainMachine(skewedLengths(800, 3), 5)
-	src := exec.NewMachineSource[exectest.ChainState](sm)
-	sctl := &flipFlopController{}
-	sstats := core.RunStream(newCore(), src, core.Options{
-		Width: 8, Controller: sctl, MaxWidth: 24, ProbeInterval: 4,
-	})
-	if sstats.Initiated >= 800 || sctl.samples != 2 {
-		t.Fatalf("stream stop not latched: %+v after %d samples", sstats, sctl.samples)
 	}
 }

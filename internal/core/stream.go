@@ -8,9 +8,10 @@ import (
 	"amac/internal/obs"
 )
 
-// streamSlot is one circular-buffer entry of a streaming run: the batch
-// engine's scheduling fields plus the identity of the request occupying the
-// slot (for completion accounting).
+// streamSlot is one circular-buffer entry: the lookup's scheduling fields
+// plus the identity of the request occupying the slot (for completion
+// accounting). The lookup's operator-specific state (key, rid, pointer, ...)
+// lives in the engine's parallel states slice.
 type streamSlot struct {
 	busy    bool
 	stage   int
@@ -18,24 +19,26 @@ type streamSlot struct {
 	retries uint64
 }
 
-// streamSlotPool recycles the streaming scheduling slots across runs, so a
-// load sweep that executes one stream run per (technique, load, worker)
-// point reuses one buffer per concurrent run.
+// streamSlotPool recycles the scheduling slots across runs, so sweeps that
+// execute the engine thousands of times (figure 6 alone runs it once per
+// window per skew; a load sweep once per technique, load and worker) reuse
+// one buffer per concurrent run.
 var streamSlotPool sync.Pool
 
 // getStreamSlots returns a zeroed slot buffer of length n from the pool.
 func getStreamSlots(n int) *[]streamSlot { return exec.GetPooled[streamSlot](&streamSlotPool, n) }
 
-// RunStream executes AMAC over a pull-based request stream instead of a
-// fixed lookup batch: every slot of the circular buffer refills from the
-// Source the moment its lookup completes, so under open-loop traffic a
-// freed slot picks up the next queued request immediately — mid-batch, at
-// any point in any other lookup's chain. This is the paper's merged
-// terminal/initial stage optimisation applied to serving: where the GP and
-// SPP stream adapters (package exec) admit work only at group boundaries or
-// static refill points and so let the admission queue grow while in-flight
-// work drains, AMAC's admission granularity is a single slot visit. The
-// difference is measurable as tail latency in the serveN experiment.
+// RunStream executes AMAC over a pull-based request stream: every slot of
+// the circular buffer refills from the Source the moment its lookup
+// completes, so under open-loop traffic a freed slot picks up the next
+// queued request immediately — mid-batch, at any point in any other
+// lookup's chain. This is the paper's merged terminal/initial stage
+// optimisation applied to serving: where the GP and SPP engines (package
+// exec) admit work only at group boundaries or static refill points and so
+// let the admission queue grow while in-flight work drains, AMAC's
+// admission granularity is a single slot visit. The difference is
+// measurable as tail latency in the serveN experiment. A batch is the
+// stream over an exec.MachineSource (see Run).
 //
 // The engine idles (Core.AdvanceTo) only when no request is admitted AND no
 // lookup is in flight; a source that reports Wait while other slots hold
@@ -80,6 +83,10 @@ type StreamEngine[S any] struct {
 	ctl   exec.WidthController
 	probe widthProbe
 
+	// stager receives the stage calls: the machine itself when src is an
+	// exec.MachineSource (see exec.StagerOf).
+	stager exec.Stager[S]
+
 	states    []S
 	putStates func()
 	slotsP    *[]streamSlot
@@ -87,17 +94,13 @@ type StreamEngine[S any] struct {
 
 	stats     RunStats
 	live      int
-	exhausted bool
+	exhausted bool // no more pulls: the source ended or sent its Last request
+	last      bool // the source marked its final request (a batch)
 	waitUntil uint64
 
 	// admit is the refill bound: slots [0, admit) may pull requests. After a
 	// shrink, admit drops first and width follows once the surplus in-flight
 	// lookups in [admit, width) complete and retire their slots.
-	//
-	// The resize bookkeeping deliberately mirrors core.Run's: the engines'
-	// slot types differ and both loops are zero-allocation hot paths, so the
-	// logic is kept in sync by the symmetric tests in resize_test.go rather
-	// than shared through a busy(i) callback that would escape to the heap.
 	width    int
 	admit    int
 	draining int
@@ -115,7 +118,8 @@ func NewStreamEngine[S any](c *memsim.Core, src exec.Source[S], opts Options) *S
 	width := opts.resolveWidth(c)
 
 	// Controller-driven runs provision the slot buffer at the growth cap and
-	// move the active window inside it, exactly as in the batch engine.
+	// move the active window [0, width) inside it; static runs allocate
+	// exactly the requested width.
 	e := &StreamEngine[S]{
 		c:        c,
 		src:      src,
@@ -132,6 +136,7 @@ func NewStreamEngine[S any](c *memsim.Core, src exec.Source[S], opts Options) *S
 		e.probe = newWidthProbe(c, opts.probeInterval(width))
 	}
 	e.sink, _ = src.(exec.FailSink)
+	e.stager = exec.StagerOf(src)
 
 	e.stats.Width = width
 	e.stats.MinWidth, e.stats.MaxWidth = width, width
@@ -215,6 +220,7 @@ func (e *StreamEngine[S]) tryFill(k int) bool {
 			e.waitUntil = c.Cycle() + 1
 		}
 	case exec.Pulled:
+		e.exhausted, e.last = pr.Last, pr.Last
 		e.stats.Initiated++
 		issue(c, pr.Out)
 		e.tr.SlotStart(pullAt, k, pr.Req.Index)
@@ -286,11 +292,19 @@ func (e *StreamEngine[S]) Run(limit uint64) bool {
 	if e.done {
 		return true
 	}
-	c := e.c
+	// The fields the loop only reads live in locals.
+	c, tr, stager := e.c, e.tr, e.stager
+	slots, states := e.slots, e.states
 	p := c.Profiler()
 	p.Push(p.Frame("AMAC"))
 	defer p.Pop()
 	for {
+		if e.last && e.live == 0 {
+			// A batch ends the moment its last lookup retires, before any
+			// further probe sample.
+			e.done = true
+			return true
+		}
 		if c.Cycle() >= limit {
 			return false
 		}
@@ -301,25 +315,9 @@ func (e *StreamEngine[S]) Run(limit uint64) bool {
 		// Sampling stops with the run: a stopped engine only drains, and a
 		// late positive verdict must not reopen admission.
 		if e.ctl != nil && !e.stopped && e.stats.Completed-e.probe.lastCompleted >= e.probe.interval {
-			w := e.probe.sample(c, e.admit, e.stats.Completed)
-			e.tr.EngineSample(c.Cycle(), e.admit, w.Outstanding)
-			switch target := e.ctl.Sample(w); {
-			case target < 0:
-				// StopRun: close admission and let the in-flight lookups
-				// drain; the source keeps the unserved requests.
-				e.stopped = true
-				e.admit = 0
-				e.draining = 0
-				e.tr.Decision(c.Cycle(), obs.DecStopRun, int64(e.stats.Initiated), 0)
-			case target > 0:
-				old := e.admit
-				e.applyWidth(clampWidth(target, e.capW))
-				if e.admit != old {
-					e.tr.WidthChange(c.Cycle(), e.admit)
-				}
-			}
+			e.sample()
 		}
-		s := &e.slots[k]
+		s := &slots[k]
 		if !s.busy {
 			if !e.tryFill(k) && e.live == 0 {
 				if e.exhausted || e.stopped {
@@ -353,8 +351,8 @@ func (e *StreamEngine[S]) Run(limit uint64) bool {
 			if e.sink != nil {
 				e.sink.Fail(s.req, c.Cycle(), exec.FailDeadline)
 			}
-			e.tr.SlotAbandon(c.Cycle(), k, s.req.Index, 0)
-			e.states[k] = *new(S)
+			tr.SlotAbandon(c.Cycle(), k, s.req.Index, 0)
+			states[k] = *new(S)
 			e.retire(k, true)
 			e.k++
 			continue
@@ -364,22 +362,22 @@ func (e *StreamEngine[S]) Run(limit uint64) bool {
 		visitAt := c.Cycle()
 		c.Instr(CostStateSwap)
 		p.PushStage(stage)
-		out := e.src.Stage(c, &e.states[k], stage)
+		out := stager.Stage(c, &states[k], stage)
 		p.Pop()
 		e.stats.StageVisits++
 		if out.Retry {
 			s.stage = out.NextStage
 			s.retries++
 			e.stats.Retries++
-			e.tr.SlotRetry(c.Cycle(), k, stage)
+			tr.SlotRetry(c.Cycle(), k, stage)
 			e.k++
 			continue
 		}
-		e.tr.StageVisit(visitAt, c.Cycle(), k, stage)
+		tr.StageVisit(visitAt, c.Cycle(), k, stage)
 		if !out.Done {
 			issue(c, out)
 			if out.Prefetch != 0 {
-				e.tr.SlotPrefetch(c.Cycle(), k)
+				tr.SlotPrefetch(c.Cycle(), k)
 			}
 			s.stage = out.NextStage
 			e.k++
@@ -392,8 +390,30 @@ func (e *StreamEngine[S]) Run(limit uint64) bool {
 		// window).
 		e.stats.Completed++
 		e.src.Complete(s.req, c.Cycle())
-		e.tr.SlotEnd(c.Cycle(), k)
+		tr.SlotEnd(c.Cycle(), k)
 		e.retire(k, true)
 		e.k++
+	}
+}
+
+// sample charges one controller probe and applies its verdict: StopRun
+// closes admission and lets the in-flight lookups drain (the source keeps
+// the unserved requests); a positive width resizes the window.
+func (e *StreamEngine[S]) sample() {
+	c := e.c
+	w := e.probe.sample(c, e.admit, e.stats.Completed)
+	e.tr.EngineSample(c.Cycle(), e.admit, w.Outstanding)
+	switch target := e.ctl.Sample(w); {
+	case target < 0:
+		e.stopped = true
+		e.admit = 0
+		e.draining = 0
+		e.tr.Decision(c.Cycle(), obs.DecStopRun, int64(e.stats.Initiated), 0)
+	case target > 0:
+		old := e.admit
+		e.applyWidth(clampWidth(target, e.capW))
+		if e.admit != old {
+			e.tr.WidthChange(c.Cycle(), e.admit)
+		}
 	}
 }

@@ -48,34 +48,34 @@ func TestRunStreamResolvesLatchConflicts(t *testing.T) {
 	}
 }
 
-// TestRunStreamMatchesBatchOutputOnHashJoin is the acceptance criterion of
-// the streaming subsystem: replaying a batch workload through RunStream (a
-// MachineSource admits every lookup at cycle 0, in index order) must
-// produce exactly the join output of batch-mode Run over the same machine.
-func TestRunStreamMatchesBatchOutputOnHashJoin(t *testing.T) {
+// TestRunStreamMatchesReferenceJoin is the acceptance criterion of the
+// engine: a hash-join probe replayed through RunStream (a MachineSource
+// admits every lookup at cycle 0, in index order), through the batch entry
+// point Run, and through the Baseline must all produce exactly the
+// reference join output.
+func TestRunStreamMatchesReferenceJoin(t *testing.T) {
 	build, probe, err := relation.BuildJoin(relation.JoinSpec{BuildSize: 1 << 12, ProbeSize: 1 << 12, ZipfBuild: 0.75, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	runOnce := func(stream bool) (count, checksum uint64, cycles uint64) {
+	for name, run := range map[string]func(c *memsim.Core, m *ops.ProbeMachine){
+		"RunStream": func(c *memsim.Core, m *ops.ProbeMachine) {
+			core.RunStream(c, exec.NewMachineSource[ops.ProbeState](m), core.Options{Width: 10})
+		},
+		"Run": func(c *memsim.Core, m *ops.ProbeMachine) { core.Run(c, m, core.Options{Width: 10}) },
+		"Baseline": func(c *memsim.Core, m *ops.ProbeMachine) {
+			ops.RunMachine(c, m, ops.Baseline, ops.Params{})
+		},
+	} {
 		j := ops.NewHashJoin(build, probe)
 		j.PrebuildRaw()
+		wantCount, wantSum := j.ReferenceJoin()
 		out := ops.NewOutput(j.Arena, false)
-		m := j.ProbeMachine(out, false)
-		c := newCore()
-		if stream {
-			core.RunStream(c, exec.NewMachineSource[ops.ProbeState](m), core.Options{Width: 10})
-		} else {
-			core.Run(c, m, core.Options{Width: 10})
+		run(newCore(), j.ProbeMachine(out, false))
+		if out.Count != wantCount || out.Checksum != wantSum {
+			t.Fatalf("%s output (count=%d sum=%x) differs from the reference join (count=%d sum=%x)",
+				name, out.Count, out.Checksum, wantCount, wantSum)
 		}
-		return out.Count, out.Checksum, c.Cycle()
-	}
-
-	bCount, bSum, _ := runOnce(false)
-	sCount, sSum, _ := runOnce(true)
-	if sCount != bCount || sSum != bSum {
-		t.Fatalf("stream output (count=%d sum=%x) differs from batch (count=%d sum=%x)", sCount, sSum, bCount, bSum)
 	}
 }
 

@@ -93,9 +93,9 @@ func (w Window) CyclesPerCompletion() float64 {
 // a pipeline drain at any other point.
 const StopRun = -1
 
-// WidthController is consulted by the AMAC engines (core.Run and
-// core.RunStream) once per probe window when attached via core.Options. It
-// returns the desired slot-window width; zero or the current width means
+// WidthController is consulted by the AMAC engine (core.RunStream, which
+// core.Run wraps for batches) once per probe window when attached via
+// core.Options. It returns the desired slot-window width; zero or the current width means
 // keep, and any negative value (StopRun) ends the run early. The engine
 // applies changes safely mid-run: growth activates zeroed slots
 // immediately, shrinkage (and StopRun) stops refilling the surplus slots

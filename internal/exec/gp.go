@@ -1,12 +1,16 @@
 package exec
 
-import "amac/internal/memsim"
+import (
+	"amac/internal/memsim"
+	"amac/internal/obs"
+)
 
-// GroupPrefetch runs the machine under Group Prefetching (Chen et al.), the
-// first of the paper's two prior-art techniques (Section 2.2.1): lookups are
-// statically arranged into groups of `group` and every code stage is executed
-// for the whole group before the next stage begins, so up to `group`
-// independent prefetches are in flight at a time.
+// GroupPrefetchStream runs requests under Group Prefetching (Chen et al.),
+// the first of the paper's two prior-art techniques (Section 2.2.1): up to
+// `group` requests are admitted from the source, every code stage is
+// executed for the whole group before the next stage begins (so up to
+// `group` independent prefetches are in flight at a time), and only once the
+// group has fully finished is the source consulted for the next one.
 //
 // The rigidity the paper criticises is reproduced faithfully:
 //
@@ -16,42 +20,76 @@ import "amac/internal/memsim"
 //     sequential clean-up pass at the group boundary,
 //   - a lookup that cannot acquire a latch keeps retrying in its remaining
 //     stages and, if still blocked, is also handled by the clean-up pass,
-//   - a new group can only start once the previous group has fully finished.
-func GroupPrefetch[S any](c *memsim.Core, m Machine[S], group int) {
+//   - a new group can only start once the previous group has fully finished,
+//     so under serving traffic a request arriving mid-group waits out the
+//     whole batch. If at least one request is admitted the group starts
+//     immediately — GP does not hold a partial group open for stragglers.
+//
+// tr, if non-nil, records each group as a begin/end span on the engine track
+// (begin at the first member's admission, end after the clean-up pass, the
+// batch-boundary refill penalty made visible) and each member's lifecycle on
+// the slot track of its group position.
+func GroupPrefetchStream[S any](c *memsim.Core, src Source[S], group int, tr *obs.CoreTrace) {
 	p := c.Profiler()
 	p.Push(p.Frame("GP"))
 	defer p.Pop()
 	if group < 1 {
 		group = 1
 	}
-	n := m.NumLookups()
-	depth := m.ProvisionedStages()
+	depth := src.ProvisionedStages()
 	if depth < 1 {
 		depth = 1
 	}
 
+	stager := StagerOf(src)
 	states, putStates := GetStates[S](group)
 	defer putStates()
-	currentP, doneP := getOutcomes(group), getFlags(group)
-	defer func() { outcomePool.Put(currentP); flagPool.Put(doneP) }()
-	current, done := *currentP, *doneP
+	currentP, doneP, reqsP := getOutcomes(group), getFlags(group), getRequests(group)
+	defer func() { outcomePool.Put(currentP); flagPool.Put(doneP); requestPool.Put(reqsP) }()
+	current, done, reqs := *currentP, *doneP, *reqsP
 
-	for base := 0; base < n; base += group {
-		g := group
-		if base+g > n {
-			g = n - base
-		}
-
-		// Code stage 0 for the whole group: read the input tuples, compute
-		// the first target addresses, issue the first prefetches.
-		for j := 0; j < g; j++ {
+	for last := false; !last; {
+		// Code stage 0 for the group: admit whatever the source holds now,
+		// read the input tuples, compute the first target addresses and
+		// issue the first prefetches.
+		g := 0
+		for g < group && !last {
+			pullAt := c.Cycle()
 			c.Instr(CostGPStage)
 			p.PushStage(0)
-			out := m.Init(c, &states[j], base+j)
+			pr := src.Pull(c, &states[g], c.Cycle())
 			p.Pop()
-			issuePrefetch(c, out)
-			current[j] = out
-			done[j] = out.Done
+			if pr.Status == Exhausted {
+				if g == 0 {
+					return
+				}
+				break
+			}
+			if pr.Status == Wait {
+				if g > 0 {
+					break // launch the partial group; GP never waits mid-batch
+				}
+				// The batch-boundary idle between groups is charged under
+				// the "admit" frame, as GP;admit idle in a flamegraph.
+				p.Push(p.Frame("admit"))
+				c.AdvanceTo(waitCycle(c.Cycle(), pr.NextArrival))
+				p.Pop()
+				continue
+			}
+			if g == 0 {
+				tr.GroupStart(pullAt, group)
+			}
+			tr.SlotStart(pullAt, g, pr.Req.Index)
+			issuePrefetch(c, pr.Out)
+			current[g] = pr.Out
+			done[g] = pr.Out.Done
+			reqs[g] = pr.Req
+			if pr.Out.Done {
+				src.Complete(pr.Req, c.Cycle())
+				tr.SlotEnd(c.Cycle(), g)
+			}
+			last = pr.Last
+			g++
 		}
 
 		// Code stages 1..depth-1, each executed for the whole group.
@@ -64,9 +102,11 @@ func GroupPrefetch[S any](c *memsim.Core, m Machine[S], group int) {
 					c.Instr(CostGPSkip)
 					continue
 				}
+				stage := current[j].NextStage
+				visitAt := c.Cycle()
 				c.Instr(CostGPStage)
-				p.PushStage(current[j].NextStage)
-				out := m.Stage(c, &states[j], current[j].NextStage)
+				p.PushStage(stage)
+				out := stager.Stage(c, &states[j], stage)
 				p.Pop()
 				if out.Retry {
 					// Latch held by another in-flight lookup: burn the
@@ -74,27 +114,36 @@ func GroupPrefetch[S any](c *memsim.Core, m Machine[S], group int) {
 					// pass).
 					current[j].NextStage = out.NextStage
 					current[j].Prefetch = 0
+					tr.SlotRetry(c.Cycle(), j, stage)
 					continue
 				}
+				tr.StageVisit(visitAt, c.Cycle(), j, stage)
 				issuePrefetch(c, out)
 				current[j] = out
-				done[j] = out.Done
+				if out.Done {
+					done[j] = true
+					src.Complete(reqs[j], c.Cycle())
+					tr.SlotEnd(c.Cycle(), j)
+				}
 			}
 		}
 
 		// Clean-up pass: lookups whose chains are longer than provisioned
 		// (or that are still blocked on a latch) are completed without the
 		// benefit of prefetching before the next group may start.
-		finishSequential(c, m.Stage, states[:g], current[:g], done[:g], nil)
+		finishSequential(c, stager, states[:g], current[:g], done[:g], func(j int) {
+			src.Complete(reqs[j], c.Cycle())
+			tr.SlotEnd(c.Cycle(), j)
+		})
+		tr.GroupEnd(c.Cycle(), g)
 	}
 }
 
 // finishSequential completes every unfinished lookup without prefetching.
 // Lookups are serviced round-robin so that a lookup blocked on a latch held
-// by another unfinished lookup of the same batch cannot deadlock the pass.
-// onDone, if non-nil, observes each completion (the streaming GP adapter
-// records per-request latency there); stage is the machine's Stage method.
-func finishSequential[S any](c *memsim.Core, stage func(*memsim.Core, *S, int) Outcome, states []S, current []Outcome, done []bool, onDone func(j int)) {
+// by another unfinished lookup of the same group cannot deadlock the pass.
+// onDone observes each completion.
+func finishSequential[S any](c *memsim.Core, stager Stager[S], states []S, current []Outcome, done []bool, onDone func(j int)) {
 	p := c.Profiler()
 	p.Push(p.Frame("cleanup"))
 	defer p.Pop()
@@ -114,7 +163,7 @@ func finishSequential[S any](c *memsim.Core, stage func(*memsim.Core, *S, int) O
 			}
 			c.Instr(CostLoopIter)
 			p.PushStage(current[j].NextStage)
-			out := stage(c, &states[j], current[j].NextStage)
+			out := stager.Stage(c, &states[j], current[j].NextStage)
 			p.Pop()
 			if out.Retry {
 				c.Instr(CostRetrySpin)
@@ -126,9 +175,7 @@ func finishSequential[S any](c *memsim.Core, stage func(*memsim.Core, *S, int) O
 			if out.Done {
 				done[j] = true
 				remaining--
-				if onDone != nil {
-					onDone(j)
-				}
+				onDone(j)
 			}
 		}
 		if progressed {
@@ -137,7 +184,7 @@ func finishSequential[S any](c *memsim.Core, stage func(*memsim.Core, *S, int) O
 		}
 		stuck++
 		if stuck > retryLimit {
-			panic("exec: clean-up pass made no progress; a latch is held by a lookup outside the batch")
+			panic("exec: clean-up pass made no progress; a latch is held by a lookup outside the group")
 		}
 	}
 }

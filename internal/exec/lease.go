@@ -3,15 +3,16 @@ package exec
 import "amac/internal/memsim"
 
 // LeaseSource caps an underlying source at a bounded amount of work: the
-// streaming engines (BaselineStream, GroupPrefetchStream,
-// SoftwarePipelineStream, core.RunStream) loop until their source reports
-// end-of-stream, so a layer that needs control back — an adaptive controller
-// between retune decisions, a pipeline stage between downstream pulls — wraps
-// the source in a lease. When the lease closes (quota spent, gate closed, or
-// a NoWait conversion), the engine sees Exhausted, drains its in-flight
-// lookups and returns; no request is ever abandoned. The wrapper records why
-// the lease ended so the caller can distinguish "more work later" from "the
-// stream is truly over".
+// engines (BaselineStream, GroupPrefetchStream, SoftwarePipelineStream,
+// core.RunStream) loop until their source reports end-of-stream, so a layer
+// that needs control back — an adaptive controller between retune decisions,
+// a pipeline stage between downstream pulls — wraps the source in a lease.
+// When the lease closes (quota spent, gate closed, or a NoWait conversion),
+// the engine sees Exhausted, drains its in-flight lookups and returns; no
+// request is ever abandoned. The wrapper records why the lease ended so the
+// caller can distinguish "more work later" from "the stream is truly over" —
+// which is why it clears PullResult.Last: a lease always ends on the pull
+// that observes its close, and that pull is where Exhausted is recorded.
 type LeaseSource[S any] struct {
 	// Src is the underlying source.
 	Src Source[S]
@@ -61,6 +62,7 @@ func (l *LeaseSource[S]) Pull(c *memsim.Core, s *S, now uint64) PullResult {
 		}
 	case Pulled:
 		l.Quota--
+		pr.Last = false
 	}
 	return pr
 }

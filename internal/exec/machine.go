@@ -1,6 +1,6 @@
 // Package exec defines the stage-machine abstraction shared by every
 // pointer-chasing technique in this repository and implements the paper's
-// two prior-art baselines on top of it:
+// three reference engines on top of it:
 //
 //   - Baseline: one lookup at a time, no software prefetching (Section 2.2.2),
 //   - Group Prefetching (GP) of Chen et al. (Section 2.2.1),
@@ -18,6 +18,28 @@
 // stage runs next, which address that stage will dereference (so the engine
 // can prefetch it), and whether the lookup finished or must be retried
 // because a latch is held by another in-flight lookup.
+//
+// Each technique has exactly one engine, and it runs over a Source (a
+// pull-based request stream): a fixed batch is a MachineSource, a serving
+// run pulls from an admission queue, a pipeline stage from its inbound pipe.
+// The engines keep each technique's defining restriction on WHEN a freed
+// slot may accept new work, because that restriction is exactly what the
+// paper's flexibility argument is about:
+//
+//   - BaselineStream serves one request at a time, start to finish;
+//   - GroupPrefetchStream admits requests only at group boundaries: a group
+//     runs to full completion (including its sequential clean-up pass)
+//     before the source is consulted again;
+//   - SoftwarePipelineStream refills a pipeline slot only at its static
+//     refill point (after the provisioned number of stages), even when the
+//     slot's lookup finished early.
+//
+// AMAC's engine (core.RunStream) refills any slot the moment its lookup
+// completes, which is why it holds tail latency flat at arrival rates where
+// the batch-boundary engines' queues grow. Completions are always reported
+// at the cycle the engine observes Outcome.Done — the response could be sent
+// then — so the engines differ only in admission, never in completion
+// accounting.
 package exec
 
 import (
@@ -99,10 +121,10 @@ const (
 // stages.
 const retryLimit = 1 << 20
 
-// outcomePool and flagPool recycle the per-run scheduling buffers of the
-// batch and stream engines (the Outcome-per-slot and done-per-slot arrays),
-// so parameter sweeps that run an engine thousands of times reuse two
-// buffers instead of allocating per run. The generic per-lookup state slice
+// outcomePool and flagPool recycle GP's per-run scheduling buffers (the
+// Outcome-per-slot and done-per-slot arrays), so parameter sweeps that run
+// an engine thousands of times reuse two buffers instead of allocating per
+// run. The generic per-lookup state slice
 // []S is recycled through GetStates' per-state-type pools (pool.go).
 var outcomePool sync.Pool
 var flagPool sync.Pool
@@ -123,4 +145,13 @@ func issuePrefetch(c *memsim.Core, o Outcome) {
 		n = 1
 	}
 	c.PrefetchSpan(o.Prefetch, n)
+}
+
+// waitCycle returns the cycle an engine may idle until after a Wait pull,
+// guarding against a source that reports a non-future arrival.
+func waitCycle(now, next uint64) uint64 {
+	if next <= now {
+		return now + 1
+	}
+	return next
 }

@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// Streaming runs are short and numerous — a load sweep executes one engine
+// Engine runs are short and numerous — a load sweep executes one engine
 // run per (technique, load, worker) point — so the per-run scratch buffers
 // are recycled. The non-generic buffers (Outcome, bool, Request) live in
 // plain pools in machine.go and this file; the generic per-lookup state
@@ -50,7 +50,7 @@ func GetPooled[T any](pool *sync.Pool, n int) *[]T {
 	return p
 }
 
-// requestPool recycles the per-slot Request buffers of the stream engines.
+// requestPool recycles GP's per-slot Request buffers.
 var requestPool sync.Pool
 
 // getRequests returns a zeroed Request buffer of length n from the pool.

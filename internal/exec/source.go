@@ -2,15 +2,15 @@ package exec
 
 import "amac/internal/memsim"
 
-// This file defines the pull-based lookup stream that feeds the streaming
-// execution engines (BaselineStream, GroupPrefetchStream,
-// SoftwarePipelineStream here; core.RunStream for AMAC). Where a Machine is a
-// fixed, pre-materialized batch of lookups — every index 0..NumLookups()-1
-// exists before the run starts — a Source hands out lookups one at a time and
-// may answer "nothing has arrived yet", which is exactly the situation a
-// request-serving system faces under open-loop traffic. Each request carries
-// the simulated cycle at which it entered the system, so the source can
-// account admission→completion latency per request.
+// This file defines the pull-based lookup stream every execution engine runs
+// over (BaselineStream, GroupPrefetchStream, SoftwarePipelineStream here;
+// core.RunStream for AMAC). A Source hands out lookups one at a time and may
+// answer "nothing has arrived yet", which is exactly the situation a
+// request-serving system faces under open-loop traffic. A fixed batch —
+// every index 0..NumLookups()-1 exists before the run starts — is the
+// special case MachineSource: every lookup is ready at cycle 0. Each request
+// carries the simulated cycle at which it entered the system, so the source
+// can account admission→completion latency per request.
 
 // Request identifies one admitted lookup of a streaming run.
 type Request struct {
@@ -48,6 +48,13 @@ type PullResult struct {
 	// NextArrival is the earliest cycle at which a request will be
 	// available, valid when Status is Wait.
 	NextArrival uint64
+	// Last marks the source's final request (Status Pulled): the engine
+	// treats the source as exhausted without pulling again. MachineSource
+	// sets it on a batch's last lookup, so a batch run ends the moment that
+	// lookup's work is done instead of paying for a pull that finds the
+	// source empty. Sources that only learn their end at a pull (queues,
+	// pipes, leases) leave it false.
+	Last bool
 }
 
 // Source is a pull-based stream of lookups over per-lookup state S. The
@@ -77,9 +84,9 @@ type Source[S any] interface {
 // MachineSource adapts a fixed Machine batch to the Source interface: every
 // lookup is considered admitted at cycle 0 (the whole batch is materialized
 // before the run starts), handed out in index order, and never waits. It is
-// the bridge that lets a streaming engine replay a batch workload — tests
-// use it to prove that stream-mode execution produces exactly the batch-mode
-// output.
+// how every engine runs a batch: the last lookup is pulled with
+// PullResult.Last set, so a batch run never charges a pull that finds the
+// source empty.
 type MachineSource[S any] struct {
 	M Machine[S]
 	// OnComplete, if non-nil, observes every completion.
@@ -96,15 +103,31 @@ func NewMachineSource[S any](m Machine[S]) *MachineSource[S] {
 // ProvisionedStages implements Source.
 func (ms *MachineSource[S]) ProvisionedStages() int { return ms.M.ProvisionedStages() }
 
-// Pull implements Source: the next lookup in index order, admitted at cycle 0.
+// Pull implements Source: the next lookup in index order, admitted at cycle
+// 0, with Last set on the batch's final lookup.
 func (ms *MachineSource[S]) Pull(c *memsim.Core, s *S, now uint64) PullResult {
-	if ms.next >= ms.M.NumLookups() {
+	n := ms.M.NumLookups()
+	if ms.next >= n {
 		return PullResult{Status: Exhausted}
 	}
 	i := ms.next
 	ms.next++
-	out := ms.M.Init(c, s, i)
-	return PullResult{Status: Pulled, Out: out, Req: Request{Index: i}}
+	return PullResult{Status: Pulled, Out: ms.M.Init(c, s, i), Req: Request{Index: i}, Last: ms.next == n}
+}
+
+// Stager is the stage-execution half of a Source (and of a Machine).
+type Stager[S any] interface {
+	Stage(c *memsim.Core, s *S, stage int) Outcome
+}
+
+// StagerOf returns where an engine should send a source's stage calls: the
+// machine itself for a MachineSource, which saves a dynamic call on every
+// stage visit of a batch run, and the source otherwise.
+func StagerOf[S any](src Source[S]) Stager[S] {
+	if ms, ok := src.(*MachineSource[S]); ok {
+		return ms.M
+	}
+	return src
 }
 
 // Stage implements Source.

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"slices"
 	"testing"
 
 	"amac/internal/exec"
@@ -27,16 +28,16 @@ func streamLengths(n int, seed uint64) []int {
 	return ls
 }
 
-// runStreamEngine names each adapter so table tests can sweep them.
+// streamEngines names each engine so table tests can sweep them.
 var streamEngines = map[string]func(c *memsim.Core, src exec.Source[exectest.ChainState]){
 	"BaselineStream": func(c *memsim.Core, src exec.Source[exectest.ChainState]) {
-		exec.BaselineStream(c, src)
+		exec.BaselineStream(c, src, nil)
 	},
 	"GroupPrefetchStream": func(c *memsim.Core, src exec.Source[exectest.ChainState]) {
-		exec.GroupPrefetchStream(c, src, 8)
+		exec.GroupPrefetchStream(c, src, 8, nil)
 	},
 	"SoftwarePipelineStream": func(c *memsim.Core, src exec.Source[exectest.ChainState]) {
-		exec.SoftwarePipelineStream(c, src, 8)
+		exec.SoftwarePipelineStream(c, src, 8, nil)
 	},
 }
 
@@ -63,13 +64,16 @@ func TestStreamAdaptersCompleteEveryRequest(t *testing.T) {
 			if idle := c.Stats().IdleCycles; idle != 0 {
 				t.Fatalf("a batch replay (everything admitted at cycle 0) must never idle, got %d idle cycles", idle)
 			}
-			if len(m.Completions) != len(lengths) {
-				t.Fatalf("machine completed %d of %d lookups", len(m.Completions), len(lengths))
+			// Same work as the Baseline: every lookup once, every node
+			// visit, whatever the completion order.
+			ref := exectest.NewChainMachine(lengths, 3)
+			runBaseline(newStreamCore(), ref)
+			got, want := slices.Sorted(slices.Values(m.Completions)), slices.Sorted(slices.Values(ref.Completions))
+			if !slices.Equal(got, want) {
+				t.Fatalf("completions %v differ from the Baseline's %v", got, want)
 			}
-			for i, want := range lengths {
-				if m.Visits[i] != want {
-					t.Fatalf("lookup %d visited %d nodes, want %d", i, m.Visits[i], want)
-				}
+			if !slices.Equal(m.Visits, ref.Visits) {
+				t.Fatalf("node visits %v differ from the Baseline's %v", m.Visits, ref.Visits)
 			}
 		})
 	}
@@ -94,10 +98,10 @@ func TestStreamAdaptersResolveLatchConflicts(t *testing.T) {
 	// conflicts cannot arise there at all.
 	for name, engine := range map[string]func(c *memsim.Core, src exec.Source[exectest.LatchState]){
 		"GroupPrefetchStream": func(c *memsim.Core, src exec.Source[exectest.LatchState]) {
-			exec.GroupPrefetchStream(c, src, 6)
+			exec.GroupPrefetchStream(c, src, 6, nil)
 		},
 		"SoftwarePipelineStream": func(c *memsim.Core, src exec.Source[exectest.LatchState]) {
-			exec.SoftwarePipelineStream(c, src, 6)
+			exec.SoftwarePipelineStream(c, src, 6, nil)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

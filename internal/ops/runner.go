@@ -6,6 +6,7 @@ import (
 	"amac/internal/core"
 	"amac/internal/exec"
 	"amac/internal/memsim"
+	"amac/internal/obs"
 )
 
 // Technique selects which execution engine schedules an operator's stage
@@ -85,23 +86,45 @@ func (p Params) window() int {
 	return p.Window
 }
 
-// RunMachine executes every lookup of machine m on core c using the given
-// technique. It runs the machine as a fixed batch; serve.RunSource is the
-// streaming counterpart that draws the same machines from a request queue.
-func RunMachine[S any](c *memsim.Core, m exec.Machine[S], tech Technique, p Params) {
+// AMACOptions maps the parameters onto the AMAC engine's options, with tr as
+// its trace sink.
+func (p Params) AMACOptions(tr *obs.CoreTrace) core.Options {
+	return core.Options{
+		Width: p.window(), Controller: p.Controller,
+		MaxWidth: p.MaxWidth, ProbeInterval: p.ProbeInterval, Trace: tr,
+	}
+}
+
+// RunSource executes the technique's engine over a request source on core
+// c: a fixed batch (exec.MachineSource), a serving queue, a pipeline pipe or
+// an adaptive lease. Each technique has this one engine. AMAC returns its
+// scheduler stats; the other engines report everything through the source.
+// tr, if non-nil, records the engine's slot lifecycle.
+func RunSource[S any](c *memsim.Core, src exec.Source[S], tech Technique, p Params, tr *obs.CoreTrace) core.RunStats {
 	switch tech {
 	case Baseline:
-		exec.Baseline(c, m)
+		exec.BaselineStream(c, src, tr)
 	case GP:
-		exec.GroupPrefetch(c, m, p.window())
+		exec.GroupPrefetchStream(c, src, p.window(), tr)
 	case SPP:
-		exec.SoftwarePipeline(c, m, p.window())
+		exec.SoftwarePipelineStream(c, src, p.window(), tr)
 	case AMAC:
-		core.Run(c, m, core.Options{
-			Width: p.window(), Controller: p.Controller,
-			MaxWidth: p.MaxWidth, ProbeInterval: p.ProbeInterval,
-		})
+		return core.RunStream(c, src, p.AMACOptions(tr))
 	default:
 		panic(fmt.Sprintf("ops: unknown technique %d", int(tech)))
+	}
+	return core.RunStats{}
+}
+
+// RunMachine executes every lookup of machine m on core c using the given
+// technique: RunSource over an exec.MachineSource. An empty machine charges
+// nothing, and AMAC goes through core.Run, which clamps its width to the
+// batch.
+func RunMachine[S any](c *memsim.Core, m exec.Machine[S], tech Technique, p Params) {
+	switch {
+	case tech == AMAC:
+		core.Run(c, m, p.AMACOptions(nil))
+	case m.NumLookups() > 0:
+		RunSource(c, exec.NewMachineSource(m), tech, p, nil)
 	}
 }

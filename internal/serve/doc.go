@@ -3,10 +3,10 @@
 // load, which is the system shape the paper's flexibility argument is
 // really about. A load generator emits requests at simulated-cycle arrival
 // times (deterministic, Poisson or bursty on/off); a bounded admission
-// queue absorbs them under a drop or block policy; a streaming engine —
-// queue-fed AMAC (core.RunStream) or the batch-boundary GP/SPP/Baseline
-// adapters (package exec) — pulls requests out and runs them as stage
-// machines; and a latency recorder histograms every request's
+// queue absorbs them under a drop or block policy; the technique's engine —
+// AMAC (core.RunStream) or the batch-boundary GP/SPP/Baseline engines
+// (package exec), the same engines that run batches — pulls requests out and
+// runs them as stage machines; and a latency recorder histograms every request's
 // admission→completion cycles into p50/p95/p99/max, throughput and queue
 // depth.
 //

@@ -87,10 +87,14 @@ func TestShardPublicAPI(t *testing.T) {
 	outs := make([]*amac.Output, workers)
 	machines := make([]amac.Shard[amac.BSTState], workers)
 	for i := 0; i < workers; i++ {
+		// Every shard searches its own copy of the tree: an arena is
+		// single-goroutine state (reads update its chunk memo), so shards on
+		// concurrent workers must not share one.
+		shardW := amac.NewBSTWorkload(build, probe)
 		cores[i] = amac.MustSystem(amac.XeonX5670().ShareLLC(workers)).NewCore()
-		outs[i] = amac.NewOutput(amac.NewArena(), false)
+		outs[i] = amac.NewOutput(shardW.Arena, false)
 		outs[i].Sequential = true
-		machines[i] = amac.Shard[amac.BSTState]{M: w.SearchMachine(outs[i]), Lo: shards[i].Lo, N: shards[i].N}
+		machines[i] = amac.Shard[amac.BSTState]{M: shardW.SearchMachine(outs[i]), Lo: shards[i].Lo, N: shards[i].N}
 	}
 	amac.RunParallel(cores, func(i int, c *amac.Core) {
 		amac.Run(c, machines[i], amac.Options{Width: 8})

@@ -3,18 +3,20 @@ package amac
 import (
 	"amac/internal/core"
 	"amac/internal/exec"
+	"amac/internal/ops"
 	"amac/internal/serve"
 )
 
 // This file exports the streaming request-serving layer: open-loop load
 // generation (deterministic, Poisson, bursty arrivals in simulated cycles),
 // a bounded admission queue with drop/block policies, per-request
-// admission→completion latency accounting, and streaming variants of all
-// four execution engines. AMAC's streaming engine refills each
-// circular-buffer slot the moment its lookup completes; the GP/SPP/Baseline
-// stream adapters keep their batch-boundary refill restrictions, so the
-// paper's flexibility argument becomes measurable as tail latency (see the
-// serveN experiment and examples/serving).
+// admission→completion latency accounting, and the request-stream entry
+// points of all four execution engines (a batch is the stream that admits
+// every lookup at cycle 0). AMAC refills each circular-buffer slot the
+// moment its lookup completes; the GP/SPP/Baseline engines keep their
+// batch-boundary refill restrictions, so the paper's flexibility argument
+// becomes measurable as tail latency (see the serveN experiment and
+// examples/serving).
 
 // Request identifies one admitted lookup of a streaming run: the lookup
 // index and the simulated cycle at which the request entered the system.
@@ -110,28 +112,28 @@ func RunStream[S any](c *Core, src Source[S], opts Options) RunStats {
 
 // RunBaselineStream serves requests one at a time with no prefetching.
 func RunBaselineStream[S any](c *Core, src Source[S]) {
-	exec.BaselineStream(c, src)
+	exec.BaselineStream(c, src, nil)
 }
 
 // RunGroupPrefetchStream serves requests under Group Prefetching semantics:
 // new requests are admitted only at group boundaries, after the previous
 // group fully drained.
 func RunGroupPrefetchStream[S any](c *Core, src Source[S], group int) {
-	exec.GroupPrefetchStream(c, src, group)
+	exec.GroupPrefetchStream(c, src, group, nil)
 }
 
 // RunSoftwarePipelineStream serves requests under Software-Pipelined
 // Prefetching semantics: a pipeline slot refills only at its static refill
 // point, even when its lookup finished early.
 func RunSoftwarePipelineStream[S any](c *Core, src Source[S], inflight int) {
-	exec.SoftwarePipelineStream(c, src, inflight)
+	exec.SoftwarePipelineStream(c, src, inflight, nil)
 }
 
-// RunSourceWith drives the selected technique's streaming engine over one
-// source on one core — the streaming counterpart of RunWith. AMAC returns
-// its scheduler stats; the other engines report only through the source.
+// RunSourceWith drives the selected technique's engine over one source on
+// one core — the streaming counterpart of RunWith. AMAC returns its scheduler stats, honouring
+// Params.Controller; the other engines report only through the source.
 func RunSourceWith[S any](c *Core, src Source[S], tech Technique, p Params) RunStats {
-	return serve.RunSource(c, src, tech, p)
+	return ops.RunSource(c, src, tech, p, nil)
 }
 
 // ServiceWorker describes one worker of a sharded streaming service: its
