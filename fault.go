@@ -1,6 +1,8 @@
 package amac
 
 import (
+	"runtime"
+
 	"amac/internal/fault"
 	"amac/internal/serve"
 )
@@ -69,21 +71,40 @@ type BreakerTransition = fault.Transition
 type SLO = fault.SLO
 
 // FaultyServiceOptions configures a fault-injected service run: the plain
-// ServiceOptions plus a chaos schedule, per-request deadlines and the
-// recovery policies layered on top of the shards.
+// ServiceOptions (whose SLO drives the brownout) plus a chaos schedule,
+// per-request deadlines and the recovery policies layered on top of the
+// shards.
 type FaultyServiceOptions = serve.FaultyOptions
 
 // FaultInfo summarises a run's fault activity (episodes applied, deepest
 // brownout shed level, breaker transitions); ServiceResult.Faults and
-// PerWorker[w].Faults carry it for fault-injected runs.
+// PerWorker[w].Faults carry it for every service run.
 type FaultInfo = serve.FaultInfo
 
 // RunFaultyService executes a sharded streaming service under deterministic
 // fault injection: the same share-nothing per-worker simulations as
-// RunService, but stepped by one coordinator in slices of the simulated
-// clock so the chaos timeline, deadlines, hedging, breakers and brownout
-// apply at identical simulated instants on every execution. A zero-fault,
-// zero-policy run is bit-identical to RunService on the same configuration.
-func RunFaultyService[S any](opts FaultyServiceOptions, workers []ServiceWorker[S]) ServiceResult {
-	return serve.RunFaulty(opts, workers)
+// RunService, stepped by one coordinator to common round edges of the
+// simulated clock so the chaos timeline, deadlines, hedging, breakers and
+// brownout apply at identical simulated instants on every execution.
+// RunService is this coordinator with no faults and no policies.
+//
+// It returns an error, and runs nothing, for options the coordinator cannot
+// honour: fault episodes, a deadline or a recovery policy on a technique
+// other than AMAC or with adaptive control, a recovery policy without a
+// Sched map, a Sched map that does not cover every worker's requests, or a
+// fault schedule that does not fit the workers.
+func RunFaultyService[S any](opts FaultyServiceOptions, workers []ServiceWorker[S]) (res ServiceResult, err error) {
+	// serve.RunFaulty rejects bad options by panicking with an error before
+	// it starts any work; its invariant checks panic with strings, and those
+	// propagate.
+	defer func() {
+		if v := recover(); v != nil {
+			e, ok := v.(error)
+			if _, rt := v.(runtime.Error); !ok || rt {
+				panic(v)
+			}
+			err = e
+		}
+	}()
+	return serve.RunFaulty(opts, workers), nil
 }

@@ -2,9 +2,11 @@ package amac_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"amac"
+	"amac/internal/serve"
 )
 
 // faultServiceWorkers builds a two-worker partitioned-join service fixture
@@ -44,7 +46,10 @@ func TestFaultPublicAPIZeroConfigMatchesRunService(t *testing.T) {
 	clean := amac.RunService(opts, specs)
 
 	specs, _ = faultServiceWorkers(t)
-	faulty := amac.RunFaultyService(amac.FaultyServiceOptions{Options: opts}, specs)
+	faulty, err := amac.RunFaultyService(amac.FaultyServiceOptions{Options: opts}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if !reflect.DeepEqual(clean.Stats, faulty.Stats) {
 		t.Fatalf("core stats diverge:\nclean  %+v\nfaulty %+v", clean.Stats, faulty.Stats)
@@ -88,10 +93,13 @@ func TestFaultPublicAPIParseAndInject(t *testing.T) {
 	clean := amac.RunService(opts, specs)
 
 	specs, _ = faultServiceWorkers(t)
-	faulty := amac.RunFaultyService(amac.FaultyServiceOptions{
+	faulty, err := amac.RunFaultyService(amac.FaultyServiceOptions{
 		Options: opts,
 		Faults:  spec.Sched,
 	}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if faulty.Faults == nil || faulty.Faults.Episodes != 1 {
 		t.Fatalf("fault summary = %+v, want one episode", faulty.Faults)
@@ -121,5 +129,57 @@ func TestFaultPublicAPIParseAndInject(t *testing.T) {
 	}
 	if err := sched.Validate(2); err != nil {
 		t.Fatalf("random schedule invalid: %v", err)
+	}
+}
+
+// TestFaultPublicAPIRejectsInvalidOptions checks every option combination
+// the coordinator cannot honour: RunFaultyService returns an error and never
+// panics, and the internal serve.RunFaulty panics with that same error.
+func TestFaultPublicAPIRejectsInvalidOptions(t *testing.T) {
+	slow := &amac.FaultSchedule{Episodes: []amac.FaultEpisode{
+		{Kind: amac.FaultSlow, Shard: 0, Start: 1000, Dur: 1000, Factor: 2},
+	}}
+	sched := [][]int32{make([]int32, 1<<10), make([]int32, 1<<10)}
+	base := amac.ServiceOptions{Hardware: amac.XeonX5670(), Technique: amac.AMAC, Window: 8}
+	with := func(tech amac.Technique) amac.ServiceOptions { o := base; o.Technique = tech; return o }
+	adaptive := base
+	adaptive.Adaptive = &amac.AdaptiveConfig{}
+	cases := []struct {
+		name string
+		opts amac.FaultyServiceOptions
+		want string
+	}{
+		{"gp-faults", amac.FaultyServiceOptions{Options: with(amac.GP), Faults: slow}, "need the AMAC engine"},
+		{"spp-deadline", amac.FaultyServiceOptions{Options: with(amac.SPP), Deadline: 5000}, "need the AMAC engine"},
+		{"baseline-retry", amac.FaultyServiceOptions{Options: with(amac.Baseline),
+			Retry: amac.RetryPolicy{Max: 1, Backoff: 100}, Sched: sched}, "need the AMAC engine"},
+		{"adaptive-faults", amac.FaultyServiceOptions{Options: adaptive, Faults: slow}, "adaptive control"},
+		{"adaptive-hedge", amac.FaultyServiceOptions{Options: adaptive,
+			Hedge: amac.HedgePolicy{Delay: 100}, Sched: sched}, "adaptive control"},
+		{"breaker-no-sched", amac.FaultyServiceOptions{Options: base,
+			Breaker: &amac.BreakerConfig{}}, "need a Sched map"},
+		{"retry-no-sched", amac.FaultyServiceOptions{Options: base,
+			Retry: amac.RetryPolicy{Max: 1, Backoff: 100}}, "need a Sched map"},
+		{"sched-workers", amac.FaultyServiceOptions{Options: base, Sched: sched[:1]}, "Sched maps 1 workers"},
+		{"sched-short", amac.FaultyServiceOptions{Options: base,
+			Sched: [][]int32{sched[0], sched[1][:3]}}, "Sched maps 3 of worker 1's"},
+		{"fault-shard", amac.FaultyServiceOptions{Options: base, Faults: &amac.FaultSchedule{
+			Episodes: []amac.FaultEpisode{{Kind: amac.FaultFreeze, Shard: 2, Start: 10, Dur: 10}}}}, "names shard 2 of 2"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			specs, _ := faultServiceWorkers(t)
+			_, err := amac.RunFaultyService(tc.opts, specs)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one containing %q", err, tc.want)
+			}
+			defer func() {
+				v := recover()
+				if perr, ok := v.(error); !ok || perr.Error() != err.Error() {
+					t.Fatalf("serve.RunFaulty panicked with %v, want the error %q", v, err)
+				}
+			}()
+			serve.RunFaulty(tc.opts, specs)
+		})
 	}
 }

@@ -20,9 +20,9 @@ var faultDiffSpec = relation.JoinSpec{BuildSize: 1 << 11, ProbeSize: 1 << 11, Zi
 // zero-fault equivalence: the faultN clean row (RunFaulty with a Sched map
 // and no faults or policies) is bit-identical to plain serve.Run over the
 // same replicas with the identical map applied at the machine layer
-// (exec.RemapMachine). The two runs apply the position→index map in
-// different layers, so agreement means the fault coordinator's scheduling
-// changes nothing simulated.
+// (exec.RemapMachine). Both run on the one serving coordinator but apply
+// the position→index map in different layers, so agreement means the
+// queue's Sched mapping changes nothing simulated.
 func TestFaultNZeroFaultMatchesServeMachinery(t *testing.T) {
 	const workers = 2
 	fj := defaultWorkloads.faultJoin(faultDiffSpec, workers, 3)

@@ -18,19 +18,21 @@
 // open-loop arrivals near saturation it is the difference between a flat
 // p99 and an admission queue that grows without bound.
 //
-// Service runs a sharded multi-worker instance of the whole arrangement on
-// exec.RunParallel: every worker owns a private core, machine, queue and
-// recorder, so the simulation stays deterministic under -race.
-//
-// RunFaulty is the fault-tolerant variant of that sharded service: a
-// single-goroutine coordinator steps every shard's engine over shared time
-// slices so that host-side policy — package fault's scripted episodes
-// (slowdown, freeze, crash, arrival spikes), per-request deadlines enforced
-// in queue and in flight, capped-backoff retry, hedged re-dispatch with
-// first-completion-wins dedup, a per-shard circuit breaker and the SLO
-// brownout — can act between slices on the simulated clock. With no faults
-// and no policies configured, RunFaulty is bit-identical to Run; a timed-out
-// slot is drained through the engine's shrink machinery, never abandoned,
-// and the Recorder splits outcomes into served/timed-out/failed/shed/dropped
-// with retry/hedge/reroute activity counted separately.
+// The sharded service has one coordinator, RunFaulty; Run is RunFaulty with
+// no faults, no deadline and no recovery policy. Every worker owns a private
+// core, machine, queue and recorder, and the coordinator steps each shard's
+// engine to common round edges of the simulated clock so that host-side
+// policy — package fault's scripted episodes (slowdown, freeze, crash,
+// arrival spikes), per-request deadlines enforced in queue and in flight,
+// capped-backoff retry, hedged re-dispatch with first-completion-wins dedup,
+// a per-shard circuit breaker and the SLO brownout — acts between rounds on
+// the simulated clock. A run with no fault episode and no recovery policy
+// is a single round. Unrouted runs step their shards concurrently within a
+// round, one goroutine per core (exec.RunParallel); routed runs step them
+// serially, because the router moves work between shards. Pausing an engine
+// charges nothing, so results are bit-identical however a run is cut into
+// rounds and deterministic under -race. A timed-out slot is drained through
+// the engine's shrink machinery, never abandoned, and the Recorder splits
+// outcomes into served/timed-out/failed/shed/dropped with retry/hedge/reroute
+// activity counted separately.
 package serve

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
+	"amac/internal/adapt"
 	"amac/internal/core"
 	"amac/internal/exec"
 	"amac/internal/fault"
@@ -13,7 +16,7 @@ import (
 
 // FaultyOptions configures a fault-injected service run: the plain serving
 // options plus a chaos schedule, per-request deadlines and the recovery
-// policies layered on top of the shards.
+// policies layered on top of the shards. Options.SLO drives the brownout.
 type FaultyOptions struct {
 	Options
 
@@ -42,13 +45,10 @@ type FaultyOptions struct {
 	// shard's arrivals to healthy siblings until probes succeed.
 	Breaker *fault.BreakerConfig
 
-	// SLO, when enabled, drives a per-shard brownout: the sliding p99
-	// against the budget sheds request classes at admission.
-	SLO fault.SLO
-
-	// Slice is the coordinator round length in cycles (default 4096):
-	// engines run concurrently in Slice-sized time slices, and fault
-	// boundaries, hedging, breakers and brownouts apply at round edges.
+	// Slice is the coordinator round length in cycles (default 4096). Runs
+	// with fault episodes or a recovery policy advance in Slice-sized time
+	// slices, and fault boundaries, hedging, breakers and the routed
+	// brownout apply at round edges; every other run is a single round.
 	Slice uint64
 
 	// Sched maps each worker's schedule positions to machine lookup
@@ -63,6 +63,29 @@ type FaultyOptions struct {
 // routed reports whether any cross-shard recovery policy is active.
 func (o *FaultyOptions) routed() bool {
 	return o.Retry.Enabled() || o.Hedge.Enabled() || o.Breaker != nil
+}
+
+// validate reports the first option the coordinator cannot honour for these
+// workers. Fault episodes, deadlines and routing act on a resumable engine
+// that can be paused, aborted and drained, which only AMAC's is.
+func validate[S any](o *FaultyOptions, workers []Worker[S]) error {
+	needsAMAC := !o.Faults.Empty() || o.Deadline != 0 || o.routed()
+	switch {
+	case needsAMAC && o.Adaptive != nil:
+		return errors.New("serve: fault episodes, deadlines and recovery policies do not support adaptive control")
+	case needsAMAC && o.Technique != ops.AMAC:
+		return fmt.Errorf("serve: fault episodes, deadlines and recovery policies need the AMAC engine, not %v", o.Technique)
+	case o.routed() && o.Sched == nil:
+		return errors.New("serve: recovery policies need a Sched map into a shared index space")
+	case o.Sched != nil && len(o.Sched) != len(workers):
+		return fmt.Errorf("serve: Sched maps %d workers, the run has %d", len(o.Sched), len(workers))
+	}
+	for w, idx := range o.Sched {
+		if n := min(len(workers[w].Arrivals), workers[w].Machine.NumLookups()); len(idx) < n {
+			return fmt.Errorf("serve: Sched maps %d of worker %d's %d requests", len(idx), w, n)
+		}
+	}
+	return o.Faults.Validate(len(workers))
 }
 
 // FaultInfo summarises a run's fault activity for one shard (or merged).
@@ -343,30 +366,41 @@ func (r *router) breakerRound(t uint64) {
 }
 
 // RunFaulty executes the sharded streaming service under deterministic fault
-// injection: the same share-nothing per-worker simulations as Run, but
-// stepped by one coordinator goroutine in Slice-sized time slices of the
-// simulated clock, so the chaos timeline, deadlines, hedging, breakers and
-// brownout apply at identical simulated instants on every execution. The
-// engine pauses charge nothing simulated, so a zero-fault, zero-policy
-// RunFaulty is bit-identical to Run on the same configuration.
+// injection: every worker serves its own machine from its own queue-fed
+// source on a private core, and one coordinator steps the shards' engines to
+// common round edges of the simulated clock, so the chaos timeline,
+// deadlines, hedging, breakers and brownout apply at identical simulated
+// instants on every execution. Runs with neither fault episodes nor a
+// recovery policy have no round edges: the whole run is one round. Pausing
+// an engine charges nothing simulated, so the round edges never move a
+// cycle of the execution between them.
 //
-// RunFaulty requires the AMAC engine (timed-out and aborted slots reuse its
-// shrink-drain machinery) and a non-adaptive configuration.
+// Without a recovery policy the shards step concurrently within each round,
+// one goroutine per core (exec.RunParallel); they share nothing mutable, and
+// the coordinator touches them only between rounds. A recovery policy's
+// router injects work into sibling queues from inside a round, so routed
+// runs step the shards serially in shard order.
+//
+// Fault episodes, deadlines and recovery policies need the AMAC engine
+// (timed-out and aborted slots reuse its shrink-drain machinery) and a
+// non-adaptive configuration; RunFaulty panics with an error on options it
+// cannot honour, before any work starts.
+//
+// The socket models are recycled (memsim.AcquireSystem), so a load sweep
+// that runs once per (technique, load) point reuses one System+Core pair per
+// worker instead of rebuilding megabytes of cache metadata per point; a
+// recycled pair is reset to exactly the fresh-construction state, so results
+// are bit-identical either way.
 func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
+	if err := validate(&opts, workers); err != nil {
+		panic(err)
+	}
 	n := len(workers)
 	if n == 0 {
 		return Result{}
 	}
-	if opts.Technique != ops.AMAC {
-		panic("serve: RunFaulty requires the AMAC engine")
-	}
-	if opts.Adaptive != nil {
-		panic("serve: RunFaulty does not support adaptive control")
-	}
 	routed := opts.routed()
-	if routed && opts.Sched == nil {
-		panic("serve: recovery policies need a Sched map into a shared index space")
-	}
+	rounds := routed || !opts.Faults.Empty()
 	slice := opts.Slice
 	if slice == 0 {
 		slice = 4096
@@ -375,13 +409,13 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 	// Per-shard chaos timelines; spikes are pre-applied to the arrival
 	// schedules (compression toward the episode start: a burst then a lull,
 	// same total load).
-	eps := make([][]fault.Episode, n)
+	timelines := make([]*fault.Timeline, n)
 	arr := make([][]uint64, n)
 	for w := 0; w < n; w++ {
-		if opts.Faults != nil {
-			eps[w] = opts.Faults.ForShard(w)
-		}
-		arr[w] = fault.ApplySpikes(workers[w].Arrivals, eps[w])
+		eps := opts.Faults.ForShard(w)
+		timelines[w] = fault.NewTimeline(eps)
+		a := workers[w].Arrivals
+		arr[w] = fault.ApplySpikes(a[:min(len(a), workers[w].Machine.NumLookups())], eps)
 	}
 
 	pooled := make([]*memsim.PooledSystem, n)
@@ -389,6 +423,10 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 	sources := make([]*QueueSource[S], n)
 	trs := make([]*obs.CoreTrace, n)
 	lws := make([]*obs.LatencyWindow, n)
+	var brown []*fault.Brownout
+	if opts.SLO.Enabled() {
+		brown = make([]*fault.Brownout, n)
+	}
 	shared := opts.Hardware.ShareLLC(n)
 	for w := 0; w < n; w++ {
 		pooled[w] = memsim.AcquireSystem(shared)
@@ -400,13 +438,23 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 		cores[w].ResetStats()
 		cores[w].SetProfiler(opts.Profile.Core(fmt.Sprintf("worker %d", w)))
 		sources[w] = NewQueueSource(workers[w].Machine, arr[w], opts.QueueCap, opts.Policy, nil)
+		// Tracks register here, in worker order on one goroutine, so the
+		// exported trace's process layout is deterministic regardless of the
+		// goroutine schedule. Metrics without tracing still needs a CoreTrace
+		// as the width-gauge holder; an unregistered discard core serves.
 		trs[w] = opts.Trace.Core(fmt.Sprintf("worker %d", w))
 		if trs[w] == nil && opts.Metrics != nil {
 			trs[w] = obs.NewDiscardCore()
 		}
 		sources[w].SetTrace(trs[w])
-		lws[w] = obs.NewLatencyWindow(0)
-		sources[w].SetLatencyWindow(lws[w])
+		if opts.Metrics != nil || brown != nil {
+			lws[w] = obs.NewLatencyWindow(0)
+			sources[w].SetLatencyWindow(lws[w])
+		}
+		if brown != nil {
+			brown[w] = fault.NewBrownout(opts.SLO)
+			sources[w].SetBrownout(brown[w])
+		}
 		sources[w].SetDeadline(opts.Deadline)
 		if opts.Sched != nil {
 			sources[w].SetSchedule(opts.Sched[w])
@@ -430,15 +478,6 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 				return float64(stall) / float64(busy)
 			})
 			c.SetCycleHook(opts.Metrics.Interval(), cm.Tick)
-		}
-	}
-
-	var brown []*fault.Brownout
-	if opts.SLO.Enabled() {
-		brown = make([]*fault.Brownout, n)
-		for w := range brown {
-			brown[w] = fault.NewBrownout(opts.SLO)
-			sources[w].SetBrownout(brown[w])
 		}
 	}
 
@@ -467,8 +506,7 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 		total := 0
 		for w := 0; w < n; w++ {
 			r.recs[w] = sources[w].Recorder()
-			src := sources[w]
-			r.inject[w] = func(e extra) { src.inject(e) }
+			r.inject[w] = sources[w].inject
 			r.outstanding += len(arr[w])
 			for _, idx := range opts.Sched[w][:len(arr[w])] {
 				if int(idx) >= total {
@@ -480,39 +518,58 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 		r.reqs = make([]reqState, total)
 	}
 
+	// One step function per shard, advancing its engine to a round edge and
+	// reporting whether it finished. AMAC's engine pauses at the edge; the
+	// adaptive controller and the GP, SPP and Baseline engines only run in
+	// single-round runs, so they run to exhaustion.
+	var ctls []*adapt.Controller
+	if opts.Adaptive != nil {
+		ctls = make([]*adapt.Controller, n)
+	}
 	engines := make([]*core.StreamEngine[S], n)
+	sched := make([]core.RunStats, n)
+	step := make([]func(limit uint64) bool, n)
 	for w := 0; w < n; w++ {
-		engines[w] = core.NewStreamEngine(cores[w], sources[w],
-			core.Options{Width: opts.Window, Trace: trs[w], Deadline: opts.Deadline})
+		c, src, p := cores[w], sources[w], ops.Params{Window: opts.Window}
+		switch {
+		case ctls != nil:
+			ctls[w] = adapt.NewController(*opts.Adaptive)
+			ctls[w].SetTrace(trs[w])
+			if brown != nil {
+				b := brown[w]
+				ctls[w].SetTailBias(func() bool { return b.Level() > 0 })
+			}
+			step[w] = func(uint64) bool {
+				sched[w] = adapt.RunStream(c, src, ctls[w], src.Depth)
+				return true
+			}
+		case opts.Technique == ops.AMAC:
+			o := p.AMACOptions(trs[w])
+			o.Deadline = opts.Deadline
+			engines[w] = core.NewStreamEngine(c, src, o)
+			step[w] = engines[w].Run
+		default:
+			step[w] = func(uint64) bool {
+				sched[w] = ops.RunSource(c, src, opts.Technique, p, trs[w])
+				return true
+			}
+		}
 	}
 
-	timelines := make([]*fault.Timeline, n)
-	for w := 0; w < n; w++ {
-		timelines[w] = fault.NewTimeline(eps[w])
-	}
 	downUntil := make([]uint64, n)
 	engDone := make([]bool, n)
 	infos := make([]FaultInfo, n)
 	closed := false
 
+	var t uint64
 	baseLat := cores[0].MemLatency()
-	for {
-		allDone := true
-		for w := 0; w < n; w++ {
-			if !engDone[w] {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			break
-		}
-		var t uint64
-		if closed {
-			// Everything is resolved: let the engines drain unbounded.
-			t = ^uint64(0)
+	for slices.Contains(engDone, false) {
+		// With nothing to apply at round edges, or everything resolved, the
+		// engines run unbounded.
+		if rounds && !closed {
+			t = nextEdge(cores, slice, t)
 		} else {
-			t = timelinesNext(cores, slice)
+			t = ^uint64(0)
 		}
 		// Fault boundaries first, in shard order, then thaw.
 		for w := 0; w < n; w++ {
@@ -565,90 +622,94 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 				}
 			}
 		}
-		// Run every live engine up to the round edge, in shard order.
-		for w := 0; w < n; w++ {
-			if engDone[w] || down[w] {
-				continue
+		// Run every live engine up to the round edge.
+		if r == nil {
+			exec.RunParallel(cores, func(w int, _ *memsim.Core) {
+				if !engDone[w] && !down[w] {
+					engDone[w] = step[w](t)
+				}
+			})
+		} else {
+			for w := 0; w < n; w++ {
+				if engDone[w] || down[w] {
+					continue
+				}
+				sources[w].setHorizon(t)
+				engDone[w] = step[w](t)
 			}
-			sources[w].setHorizon(t)
-			engDone[w] = engines[w].Run(t)
+		}
+		if r == nil {
+			continue // unrouted queues feed their own brownouts
 		}
 		// Recovery policies tick at the round edge. After close every request
 		// is resolved, so the unbounded drain round has nothing to route —
 		// ticking it would only stamp sentinel-time transitions into the
 		// breaker log.
-		if r != nil && !closed {
+		if !closed {
 			r.hedgeScan(t)
 			r.breakerRound(t)
 		}
-		if brown != nil {
-			for w := 0; w < n; w++ {
-				lvl, changed := brown[w].Observe(lws[w].Quantile(0.99))
-				if changed {
-					trs[w].Brownout(t, lvl)
-				}
-				if lvl > infos[w].MaxShedLevel {
-					infos[w].MaxShedLevel = lvl
-				}
+		for w, b := range brown {
+			if lvl, changed := b.Observe(lws[w].Quantile(0.99)); changed {
+				trs[w].Brownout(t, lvl)
 			}
 		}
-		if r != nil && !closed && r.outstanding == 0 {
-			scheduled := true
-			for w := 0; w < n; w++ {
-				if !sources[w].scheduleDone() {
-					scheduled = false
-					break
-				}
-			}
-			if scheduled {
-				closed = true
-				for w := 0; w < n; w++ {
-					sources[w].closeRouted()
-				}
+		if !closed && r.outstanding == 0 && !slices.ContainsFunc(sources, (*QueueSource[S]).pending) {
+			closed = true
+			for _, src := range sources {
+				src.closeRouted()
 			}
 		}
 	}
 
-	res := Result{Faults: &FaultInfo{}}
-	sched := make([]core.RunStats, n)
+	res := Result{PerWorker: make([]WorkerResult, n), Faults: &FaultInfo{}}
+	if ctls != nil {
+		res.Adapt = &adapt.Info{}
+	}
 	perStats := make([]memsim.Stats, n)
 	for w := 0; w < n; w++ {
-		sched[w] = engines[w].Stats()
-		engines[w].Close()
-		perStats[w] = cores[w].Stats()
-	}
-	res.Stats = memsim.MergeParallel(perStats)
-	res.Sched = core.MergeRunStats(sched)
-	for w := 0; w < n; w++ {
-		if r != nil && r.breakers != nil {
-			infos[w].Breaker = append(infos[w].Breaker, r.breakers[w].Transitions()...)
+		if engines[w] != nil {
+			sched[w] = engines[w].Stats()
+			engines[w].Close()
 		}
-		info := infos[w]
-		wr := WorkerResult{
+		perStats[w] = cores[w].Stats()
+		if brown != nil {
+			infos[w].MaxShedLevel = brown[w].MaxLevel()
+		}
+		if r != nil && r.breakers != nil {
+			infos[w].Breaker = r.breakers[w].Transitions()
+		}
+		res.PerWorker[w] = WorkerResult{
 			Stats:   perStats[w],
 			Latency: sources[w].Recorder(),
 			Sched:   sched[w],
-			Faults:  &info,
+			Faults:  &infos[w],
 		}
-		res.PerWorker = append(res.PerWorker, wr)
+		if ctls != nil {
+			a := ctls[w].Info()
+			res.PerWorker[w].Adapt = &a
+			res.Adapt.Merge(a)
+		}
 		res.Latency.Merge(sources[w].Recorder())
-		res.Faults.Merge(&info)
+		res.Faults.Merge(&infos[w])
 		sources[w].Close()
-		cores[w].SetCycleHook(0, nil)
+		cores[w].SetCycleHook(0, nil) // pooled core: never leak a hook or profiler past the run
 		cores[w].SetProfiler(nil)
 		pooled[w].Release()
 	}
+	res.Stats = memsim.MergeParallel(perStats)
+	res.Sched = core.MergeRunStats(sched)
 	return res
 }
 
-// timelinesNext picks the next round edge: one slice past the most advanced
-// live core (so rounds always make progress even after long idle jumps).
-func timelinesNext(cores []*memsim.Core, slice uint64) uint64 {
-	var maxC uint64
+// nextEdge picks the next round edge: one slice past the most advanced core
+// (so rounds keep pace with long idle jumps), and at least one slice past
+// the previous edge, so a round in which every unfinished shard is down
+// still moves the clock toward their thaw.
+func nextEdge(cores []*memsim.Core, slice, prev uint64) uint64 {
+	maxC := prev
 	for _, c := range cores {
-		if cy := c.Cycle(); cy > maxC {
-			maxC = cy
-		}
+		maxC = max(maxC, c.Cycle())
 	}
 	return (maxC/slice + 1) * slice
 }

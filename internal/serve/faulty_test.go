@@ -1,6 +1,8 @@
 package serve_test
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -96,10 +98,12 @@ func faultyWorkers(n, W int, period uint64, hops int) ([]serve.Worker[exectest.C
 	return workers, sched
 }
 
-// TestRunFaultyZeroConfigMatchesRun pins the coordinator's cornerstone: with
-// no faults and no recovery policies, RunFaulty's time-sliced execution is
-// bit-identical to Run's free-running workers.
-func TestRunFaultyZeroConfigMatchesRun(t *testing.T) {
+// TestRunFaultyRoundsBitIdentical pins the coordinator's cornerstone: pausing
+// the engines at round edges charges nothing simulated. A 1x slowdown is a
+// fault episode that changes no latency, so it forces Slice-sized rounds
+// while leaving every cycle as it was; the result must equal the
+// single-round run bit for bit.
+func TestRunFaultyRoundsBitIdentical(t *testing.T) {
 	build := func() []serve.Worker[exectest.ChainState] {
 		ws, _ := faultyWorkers(160, 2, 400, 3)
 		return ws
@@ -110,7 +114,13 @@ func TestRunFaultyZeroConfigMatchesRun(t *testing.T) {
 		Window:    6,
 	}
 	want := serve.Run(opts, build())
-	got := serve.RunFaulty(serve.FaultyOptions{Options: opts}, build())
+	got := serve.RunFaulty(serve.FaultyOptions{
+		Options: opts,
+		Faults: &fault.Schedule{Episodes: []fault.Episode{
+			{Kind: fault.Slow, Shard: 0, Start: 1000, Dur: 20000, Factor: 1},
+		}},
+		Slice: 512,
+	}, build())
 	if !reflect.DeepEqual(got.Stats, want.Stats) {
 		t.Fatalf("stats diverged:\n got %+v\nwant %+v", got.Stats, want.Stats)
 	}
@@ -125,8 +135,53 @@ func TestRunFaultyZeroConfigMatchesRun(t *testing.T) {
 			t.Fatalf("worker %d stats diverged", w)
 		}
 	}
-	if got.Faults == nil || got.Faults.Episodes != 0 {
-		t.Fatalf("faults summary = %+v, want zero episodes", got.Faults)
+	if got.Faults.Episodes != 1 || want.Faults.Episodes != 0 {
+		t.Fatalf("episodes: rounds run %d, single round %d; want 1 and 0", got.Faults.Episodes, want.Faults.Episodes)
+	}
+}
+
+// TestRunFaultyUnroutedSlowShardPinned pins an unrouted three-shard run with
+// a slow shard and a deadline — the configuration whose shards step
+// concurrently within each round — to the stats and recorder values the
+// serial coordinator produced. Its per-shard digest covers the whole core
+// stats, recorder and scheduler stats.
+func TestRunFaultyUnroutedSlowShardPinned(t *testing.T) {
+	const n = 150
+	workers := make([]serve.Worker[exectest.ChainState], 3)
+	for w := range workers {
+		workers[w] = serve.Worker[exectest.ChainState]{
+			Machine:  exectest.NewChainMachine(chainLengths(n, 2+w), 3+w),
+			Arrivals: serve.Poisson{MeanPeriod: 350}.Schedule(n, uint64(w)+1),
+		}
+	}
+	res := serve.RunFaulty(serve.FaultyOptions{
+		Options: serve.Options{Hardware: memsim.XeonX5670(), Technique: ops.AMAC, Window: 6},
+		Faults: &fault.Schedule{Episodes: []fault.Episode{
+			{Kind: fault.Slow, Shard: 0, Start: 6000, Dur: 30000, Factor: 8},
+		}},
+		Deadline: 3000,
+		Slice:    1024,
+	}, workers)
+	type pin struct {
+		cycles, stall, idle      uint64
+		completed, timedOut, p99 uint64
+		initiated, slotsTimedOut int
+		digest                   uint64
+	}
+	want := []pin{
+		{54224, 47325, 4954, 72, 78, 4306, 146, 74, 0xdde7a6ee93b16c66},
+		{52223, 44098, 5148, 150, 0, 885, 150, 0, 0x1ab212df39e0fa1b},
+		{51965, 46206, 2164, 150, 0, 1108, 150, 0, 0x65cbdf5228ea8a50},
+	}
+	for w, wr := range res.PerWorker {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%v|%v|%v", wr.Stats, *wr.Latency, wr.Sched)
+		r := wr.Latency
+		got := pin{wr.Stats.Cycles, wr.Stats.StallCycles, wr.Stats.IdleCycles,
+			r.Completed, r.TimedOut, r.P99(), wr.Sched.Initiated, wr.Sched.TimedOut, h.Sum64()}
+		if got != want[w] {
+			t.Errorf("shard %d:\n got %+v\nwant %+v", w, got, want[w])
+		}
 	}
 }
 
@@ -233,18 +288,29 @@ func TestRunSLOBrownoutSheds(t *testing.T) {
 		Machine:  m,
 		Arrivals: serve.Deterministic{Period: 40}.Schedule(n, 1),
 	}}
-	res := serve.Run(serve.Options{
+	opts := serve.Options{
 		Hardware:  memsim.XeonX5670(),
 		Technique: ops.AMAC,
 		Window:    6,
 		SLO:       fault.SLO{P99Budget: 2000, Classes: 4, HoldRounds: 2},
-	}, workers)
+	}
+	res := serve.Run(opts, workers)
 	rec := res.Latency
 	if rec.Shed == 0 {
 		t.Fatal("sustained overload must shed load")
 	}
 	if rec.Completed+rec.Shed != n {
 		t.Fatalf("accounting: completed=%d shed=%d, want sum %d", rec.Completed, rec.Shed, n)
+	}
+	if res.Faults.MaxShedLevel == 0 {
+		t.Fatal("the fault summary must report the brownout's deepest shed level")
+	}
+	// The queue owns the brownout of an unrouted run, so the SLO set through
+	// Options and a zero-fault RunFaulty observe it exactly as Run does.
+	workers[0].Machine = exectest.NewChainMachine(chainLengths(n, 5), 6)
+	faulty := serve.RunFaulty(serve.FaultyOptions{Options: opts}, workers)
+	if !reflect.DeepEqual(faulty.Latency, rec) {
+		t.Fatalf("zero-fault RunFaulty recorder diverged from Run:\n got %v\nwant %v", &faulty.Latency, &rec)
 	}
 	// Class 0 (index % 4 == 0) is never shed, so at least every fourth
 	// request completes.

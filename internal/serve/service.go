@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"fmt"
-
 	"amac/internal/adapt"
 	"amac/internal/core"
 	"amac/internal/exec"
@@ -63,7 +61,9 @@ type Options struct {
 	// SLO, when enabled, gives every worker an SLO brownout: the shard's
 	// sliding p99 against the budget sheds request classes at admission, and
 	// adaptive runs additionally bias exploit leases onto AMAC (the
-	// tail-robust engine) while classes are shed.
+	// tail-robust engine) while classes are shed. The shard's queue feeds the
+	// brownout its p99 every 64 offered requests; under a recovery policy
+	// (RunFaulty) the coordinator feeds it at every round edge instead.
 	SLO fault.SLO
 }
 
@@ -76,8 +76,8 @@ type WorkerResult struct {
 	// Adapt holds the shard controller's tallies for adaptive runs (nil
 	// otherwise).
 	Adapt *adapt.Info
-	// Faults holds the shard's fault-injection summary for RunFaulty runs
-	// (nil otherwise).
+	// Faults holds the shard's fault-injection summary (zero counts when no
+	// fault or SLO is configured).
 	Faults *FaultInfo
 }
 
@@ -94,8 +94,8 @@ type Result struct {
 	// Adapt merges the shard controllers' tallies for adaptive runs (nil
 	// otherwise).
 	Adapt *adapt.Info
-	// Faults merges the shards' fault-injection summaries for RunFaulty runs
-	// (nil otherwise).
+	// Faults merges the shards' fault-injection summaries (nil only for a run
+	// with no workers).
 	Faults *FaultInfo
 }
 
@@ -108,120 +108,12 @@ func (r Result) ThroughputPerCycle() float64 {
 }
 
 // Run executes the sharded streaming service: every worker serves its own
-// machine from its own queue-fed source on a private core, concurrently on
-// real goroutines (exec.RunParallel), and the per-worker stats and latency
-// recorders are merged. Deterministic for a fixed configuration regardless
-// of the goroutine schedule, because workers share nothing mutable.
-//
-// The socket models are recycled (memsim.AcquireSystem), so a load sweep
-// that calls Run once per (technique, load) point reuses one System+Core
-// pair per worker instead of rebuilding megabytes of cache metadata per
-// point; a recycled pair is reset to exactly the fresh-construction state,
-// so results are bit-identical either way.
+// machine from its own queue-fed source on a private core, and the per-worker
+// stats and latency recorders are merged. It is RunFaulty with no faults, no
+// deadline and no recovery policy, so the coordinator runs the whole service
+// as one round with every shard on its own goroutine. Deterministic for a
+// fixed configuration regardless of the goroutine schedule, because workers
+// share nothing mutable.
 func Run[S any](opts Options, workers []Worker[S]) Result {
-	n := len(workers)
-	if n == 0 {
-		return Result{}
-	}
-
-	pooled := make([]*memsim.PooledSystem, n)
-	cores := make([]*memsim.Core, n)
-	sources := make([]*QueueSource[S], n)
-	trs := make([]*obs.CoreTrace, n)
-	brown := make([]*fault.Brownout, n)
-	shared := opts.Hardware.ShareLLC(n)
-	for w := 0; w < n; w++ {
-		pooled[w] = memsim.AcquireSystem(shared)
-		cores[w] = pooled[w].Core
-		pooled[w].Sys.SetActiveThreads(n, cores[w])
-		if opts.Prepare != nil {
-			opts.Prepare(w, cores[w])
-		}
-		cores[w].ResetStats()
-		cores[w].SetProfiler(opts.Profile.Core(fmt.Sprintf("worker %d", w)))
-		sources[w] = NewQueueSource(workers[w].Machine, workers[w].Arrivals, opts.QueueCap, opts.Policy, nil)
-		// Tracks register here, in worker order on one goroutine, so the
-		// exported trace's process layout is deterministic regardless of the
-		// goroutine schedule. Metrics without tracing still needs a CoreTrace
-		// as the width-gauge holder; an unregistered discard core serves.
-		trs[w] = opts.Trace.Core(fmt.Sprintf("worker %d", w))
-		if trs[w] == nil && opts.Metrics != nil {
-			trs[w] = obs.NewDiscardCore()
-		}
-		sources[w].SetTrace(trs[w])
-		var lw *obs.LatencyWindow
-		if opts.Metrics != nil || opts.SLO.Enabled() {
-			lw = obs.NewLatencyWindow(0)
-			sources[w].SetLatencyWindow(lw)
-		}
-		if opts.SLO.Enabled() {
-			brown[w] = fault.NewBrownout(opts.SLO)
-			sources[w].SetBrownout(brown[w])
-		}
-		if opts.Metrics != nil {
-			cm := opts.Metrics.Core(fmt.Sprintf("worker %d", w))
-			src, c, tr := sources[w], cores[w], trs[w]
-			cm.Gauge("queue_depth", func() float64 { return float64(src.Depth()) })
-			cm.Gauge("mshr_outstanding", func() float64 { return float64(c.MSHROutstanding()) })
-			cm.Gauge("width", func() float64 { return float64(tr.Width()) })
-			cm.Gauge("p99_window", func() float64 { return float64(lw.Quantile(0.99)) })
-			var prev memsim.Stats
-			cm.Gauge("stall_fraction", func() float64 {
-				s := c.Stats()
-				busy := (s.Cycles - prev.Cycles) - (s.IdleCycles - prev.IdleCycles)
-				stall := s.StallCycles - prev.StallCycles
-				prev = s
-				if busy == 0 {
-					return 0
-				}
-				return float64(stall) / float64(busy)
-			})
-			c.SetCycleHook(opts.Metrics.Interval(), cm.Tick)
-		}
-	}
-
-	sched := make([]core.RunStats, n)
-	var ctls []*adapt.Controller
-	if opts.Adaptive != nil {
-		ctls = make([]*adapt.Controller, n)
-		for w := range ctls {
-			ctls[w] = adapt.NewController(*opts.Adaptive)
-			ctls[w].SetTrace(trs[w])
-			if brown[w] != nil {
-				b := brown[w]
-				ctls[w].SetTailBias(func() bool { return b.Level() > 0 })
-			}
-		}
-	}
-	ps := exec.RunParallel(cores, func(w int, c *memsim.Core) {
-		if ctls != nil {
-			sched[w] = adapt.RunStream(c, sources[w], ctls[w], sources[w].Depth)
-			return
-		}
-		sched[w] = ops.RunSource(c, sources[w], opts.Technique, ops.Params{Window: opts.Window}, trs[w])
-	})
-
-	res := Result{Stats: ps.Merged, Sched: core.MergeRunStats(sched)}
-	if ctls != nil {
-		res.Adapt = &adapt.Info{}
-	}
-	for w := 0; w < n; w++ {
-		wr := WorkerResult{
-			Stats:   ps.PerWorker[w],
-			Latency: sources[w].Recorder(),
-			Sched:   sched[w],
-		}
-		if ctls != nil {
-			info := ctls[w].Info()
-			wr.Adapt = &info
-			res.Adapt.Merge(info)
-		}
-		res.PerWorker = append(res.PerWorker, wr)
-		res.Latency.Merge(sources[w].Recorder())
-		sources[w].Close()
-		cores[w].SetCycleHook(0, nil) // pooled core: never leak a hook or profiler past the run
-		cores[w].SetProfiler(nil)
-		pooled[w].Release()
-	}
-	return res
+	return RunFaulty(FaultyOptions{Options: opts}, workers)
 }

@@ -227,8 +227,8 @@ func (q *QueueSource[S]) closeRouted() { q.closed = true }
 // once its ready cycle passes.
 func (q *QueueSource[S]) inject(e extra) { q.extras = append(q.extras, e) }
 
-// scheduleDone reports whether every base arrival has been consumed.
-func (q *QueueSource[S]) scheduleDone() bool { return q.next >= len(q.arrivals) }
+// pending reports whether base arrivals remain to be consumed.
+func (q *QueueSource[S]) pending() bool { return q.next < len(q.arrivals) }
 
 // idxAt resolves a schedule position to its machine lookup index.
 func (q *QueueSource[S]) idxAt(pos int32) int32 {

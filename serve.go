@@ -151,7 +151,9 @@ type ServiceResult = serve.Result
 
 // RunService executes a sharded streaming service: every worker serves its
 // machine from its own queue-fed source on a private core, concurrently on
-// real goroutines, deterministically for a fixed configuration.
+// real goroutines, deterministically for a fixed configuration. It is
+// RunFaultyService's coordinator with no faults, no deadline and no recovery
+// policy, which runs the whole service as one round.
 func RunService[S any](opts ServiceOptions, workers []ServiceWorker[S]) ServiceResult {
 	return serve.Run(opts, workers)
 }
