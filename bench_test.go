@@ -266,8 +266,8 @@ func benchmarkStreamObs(b *testing.B, tr *amac.Trace) {
 	for i := 0; i < b.N; i++ {
 		out.Reset()
 		c := sys.NewCore()
-		amac.RunStream(c, amac.NewMachineSource(join.ProbeMachine(out, false)),
-			amac.Options{Width: 10, Trace: tr.Core("bench core")})
+		c.SetTrace(tr.Core("bench core"))
+		amac.RunStream(c, amac.NewMachineSource(join.ProbeMachine(out, false)), amac.Options{Width: 10})
 	}
 }
 

@@ -40,7 +40,10 @@
 //     stack on the simulated clock — slot lifecycle, group boundaries,
 //     controller decisions, queue and pipe activity as Chrome/Perfetto
 //     trace-event JSON, and gauge time series (width, MSHR occupancy, queue
-//     depth, sliding p99, stall fraction) as JSON Lines. A nil sink is the
+//     depth, sliding p99, stall fraction) as JSON Lines. The simulated core
+//     is the one instrumentation context: trace, metrics and profiler
+//     attach to it (Core.SetTrace, Core.SetMetrics, Core.SetProfiler), and
+//     everything running on the core records there. A nil sink is the
 //     disabled state: every recording method on a nil receiver is a
 //     single-branch, zero-allocation no-op, and tracing never changes a
 //     simulated result byte. Adaptive controllers additionally keep an

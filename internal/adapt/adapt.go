@@ -33,7 +33,6 @@ import (
 	"amac/internal/core"
 	"amac/internal/exec"
 	"amac/internal/memsim"
-	"amac/internal/obs"
 	"amac/internal/ops"
 )
 
@@ -204,9 +203,6 @@ type Controller struct {
 	refCPL     float64
 	info       Info
 
-	// trace is the optional per-core trace sink (SetTrace); nil methods
-	// no-op, so the hot paths call it unconditionally.
-	trace *obs.CoreTrace
 	// now is the controller's timebase: the driving core's cycle count as of
 	// the last segment or lease boundary, stamped onto decision-log entries.
 	now uint64
@@ -287,9 +283,16 @@ func (ctl *Controller) amacParams() ops.Params {
 	}
 }
 
-// amacOptions is amacParams as engine options, with the controller's trace
-// sink attached.
-func (ctl *Controller) amacOptions() core.Options { return ctl.amacParams().AMACOptions(ctl.trace) }
+// amacOptions is amacParams as engine options.
+func (ctl *Controller) amacOptions() core.Options { return ctl.amacParams().AMACOptions() }
+
+// bind loads the trace sink of core c, the core the controller is about to
+// run on, into its width controller: technique decisions and AMAC width
+// moves are mirrored into it as instant events on the controller track.
+// Run, RunStream and NewStreamTuner bind at entry, before the first
+// decision. Purely observational — a trace changes no decision. The sink
+// survives recalibration (it moves to the fresh width controller).
+func (ctl *Controller) bind(c *memsim.Core) { ctl.width.trace = c.Trace() }
 
 // account tallies one executed segment.
 func (ctl *Controller) account(tech ops.Technique, lookups int, sched core.RunStats) {
@@ -325,8 +328,9 @@ func (ctl *Controller) observe(cpl float64) {
 // queue pressure — in the decision log.
 func (ctl *Controller) recalibrate(kind DecisionKind, cpl float64) {
 	ctl.calibrated = false
+	tr := ctl.width.trace
 	ctl.width = NewWidthAIMD(ctl.cfg.Window, ctl.cfg.MinWidth, ctl.cfg.MaxWidth)
-	ctl.width.Trace = ctl.trace
+	ctl.width.trace = tr
 	ctl.groups = nil
 	ctl.record(kind, ctl.chosen, ctl.chosen, cpl)
 }
@@ -419,6 +423,7 @@ func Run[S any](c *memsim.Core, m exec.Machine[S], ctl *Controller) Info {
 	// caught within a few hundred lookups, long enough to amortise the
 	// segment bookkeeping.
 	segNA := max(cfg.ProbeLookups, cfg.SegmentLookups/4)
+	ctl.bind(c)
 	p := c.Profiler()
 	pos := 0
 	for pos < n {

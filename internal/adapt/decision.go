@@ -119,16 +119,7 @@ func (ctl *Controller) record(kind DecisionKind, from, to ops.Technique, cpl flo
 		CPL:   cpl,
 	}
 	ctl.info.Decisions = append(ctl.info.Decisions, d)
-	ctl.trace.Decision(d.Cycle, kind.obsCode(), int64(to), int64(d.Width))
-}
-
-// SetTrace attaches a per-core trace sink: technique decisions and AMAC width
-// moves are mirrored into it as instant events on the controller track. Purely
-// observational — attaching a trace changes no decision. The tracer survives
-// recalibration (it is re-attached to the fresh width controller).
-func (ctl *Controller) SetTrace(tr *obs.CoreTrace) {
-	ctl.trace = tr
-	ctl.width.Trace = tr
+	ctl.width.trace.Decision(d.Cycle, kind.obsCode(), int64(to), int64(d.Width))
 }
 
 // Decisions returns a copy of the decision log accumulated so far.

@@ -30,7 +30,7 @@ import (
 // disables the queue-pressure trigger. Returns the aggregated AMAC
 // scheduler stats, like core.RunStream.
 func RunStream[S any](c *memsim.Core, src exec.Source[S], ctl *Controller, queueDepth func() int) core.RunStats {
-	t := NewStreamTuner(ctl, queueDepth)
+	t := NewStreamTuner(c, ctl, queueDepth)
 	var agg core.RunStats
 	for {
 		lease, sched := RunLease(c, src, t, t.Next(), nil, false)

@@ -18,7 +18,7 @@ func TestTailBiasForcesAMAC(t *testing.T) {
 	})
 	biased := false
 	ctl.SetTailBias(func() bool { return biased })
-	tuner := adapt.NewStreamTuner(ctl, nil)
+	tuner := adapt.NewStreamTuner(newCore(), ctl, nil)
 
 	// Calibration epoch: warm-up lease, then one probe per candidate, with
 	// Baseline measured far cheaper.

@@ -166,10 +166,13 @@ type StreamTuner struct {
 	bestCPL    float64
 }
 
-// NewStreamTuner builds the decision loop around a controller. queueDepth,
-// if non-nil, reports the backlog feeding the stream (admission queue depth,
-// pipe occupancy) and arms the queue-pressure retune trigger.
-func NewStreamTuner(ctl *Controller, queueDepth func() int) *StreamTuner {
+// NewStreamTuner builds the decision loop around a controller whose leases
+// run on core c, binding the controller to c's trace sink before the first
+// decision is logged. queueDepth, if non-nil, reports the backlog feeding
+// the stream (admission queue depth, pipe occupancy) and arms the
+// queue-pressure retune trigger.
+func NewStreamTuner(c *memsim.Core, ctl *Controller, queueDepth func() int) *StreamTuner {
+	ctl.bind(c)
 	return &StreamTuner{ctl: ctl, queueDepth: queueDepth, probing: -1}
 }
 
@@ -284,7 +287,7 @@ func (t *StreamTuner) Observe(l Lease, completed int, busyCycles uint64, sched c
 func RunLease[S any](c *memsim.Core, src exec.Source[S], t *StreamTuner, l Lease, gate func() bool, noWait bool) (*exec.LeaseSource[S], core.RunStats) {
 	lease := &exec.LeaseSource[S]{Src: src, Quota: l.Quota, Gate: gate, NoWait: noWait}
 	before := c.Stats()
-	sched := ops.RunSource(c, lease, l.Tech, l.Params, t.ctl.trace)
+	sched := ops.RunSource(c, lease, l.Tech, l.Params)
 	after := c.Stats()
 	busy := (after.Cycles - before.Cycles) - (after.IdleCycles - before.IdleCycles)
 	t.ctl.now = c.Cycle()

@@ -48,10 +48,12 @@ type WidthAIMD struct {
 	// resize. Default 2.
 	Cooldown int
 
-	// Trace, if non-nil, receives a decision instant for every width move
-	// (grow, shrink, glide), stamped with the probe window's end cycle.
-	// Purely observational.
-	Trace *obs.CoreTrace
+	// trace is the trace sink of the core the owning Controller runs on
+	// (Controller.bind): it receives a decision instant for every width
+	// move (grow, shrink, glide), stamped with the probe window's end cycle,
+	// and the Controller's own decisions. Nil methods no-op. Purely
+	// observational.
+	trace *obs.CoreTrace
 
 	streakDir int
 	streak    int
@@ -136,7 +138,7 @@ func (a *WidthAIMD) Sample(w exec.Window) int {
 		a.W = a.Max
 	}
 	if a.W != old {
-		a.Trace.Decision(w.AtCycle, code, int64(a.W), int64(old))
+		a.trace.Decision(w.AtCycle, code, int64(a.W), int64(old))
 	}
 	a.streak, a.streakDir = 0, 0
 	a.cool = a.Cooldown

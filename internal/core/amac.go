@@ -27,7 +27,6 @@ package core
 import (
 	"amac/internal/exec"
 	"amac/internal/memsim"
-	"amac/internal/obs"
 )
 
 // CostStateSwap models AMAC's per-visit overhead: loading a state entry from
@@ -84,12 +83,6 @@ type Options struct {
 	// thread budget is a fraction of the L1 MSHR count. An explicit Width
 	// always wins.
 	SeedWidthFromMSHRs bool
-	// Trace, if non-nil, records the run's slot lifecycle (admit, stage
-	// visits, retries, prefetches, complete), probe-window samples and width
-	// changes into the per-core event ring. Purely observational: simulated
-	// results are bit-identical with or without it, and the nil (disabled)
-	// path costs one predictable branch per event site.
-	Trace *obs.CoreTrace
 	// Deadline, if positive, bounds each request's admission→completion time
 	// in streaming runs: a busy slot whose request has exceeded its deadline
 	// is closed on its next visit — the slot drains exactly like a shrunk

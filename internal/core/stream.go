@@ -74,7 +74,6 @@ func RunStream[S any](c *memsim.Core, src exec.Source[S], opts Options) RunStats
 type StreamEngine[S any] struct {
 	c   *memsim.Core
 	src exec.Source[S]
-	tr  *obs.CoreTrace
 
 	deadline uint64
 	noRefill bool
@@ -123,7 +122,6 @@ func NewStreamEngine[S any](c *memsim.Core, src exec.Source[S], opts Options) *S
 	e := &StreamEngine[S]{
 		c:        c,
 		src:      src,
-		tr:       opts.Trace,
 		deadline: opts.Deadline,
 		noRefill: opts.DisableImmediateRefill,
 		ctl:      opts.Controller,
@@ -207,7 +205,7 @@ func (e *StreamEngine[S]) tryFill(k int) bool {
 	}
 	pullAt := c.Cycle()
 	c.Instr(CostStateSwap)
-	p := c.Profiler()
+	p, tr := c.Profiler(), c.Trace()
 	p.PushStage(0)
 	pr := e.src.Pull(c, &e.states[k], c.Cycle())
 	p.Pop()
@@ -223,14 +221,14 @@ func (e *StreamEngine[S]) tryFill(k int) bool {
 		e.exhausted, e.last = pr.Last, pr.Last
 		e.stats.Initiated++
 		issue(c, pr.Out)
-		e.tr.SlotStart(pullAt, k, pr.Req.Index)
+		tr.SlotStart(pullAt, k, pr.Req.Index)
 		if pr.Out.Prefetch != 0 {
-			e.tr.SlotPrefetch(c.Cycle(), k)
+			tr.SlotPrefetch(c.Cycle(), k)
 		}
 		if pr.Out.Done {
 			e.stats.Completed++
 			e.src.Complete(pr.Req, c.Cycle())
-			e.tr.SlotEnd(c.Cycle(), k)
+			tr.SlotEnd(c.Cycle(), k)
 			return false
 		}
 		e.slots[k] = streamSlot{busy: true, stage: pr.Out.NextStage, req: pr.Req}
@@ -275,7 +273,7 @@ func (e *StreamEngine[S]) Abort() int {
 		if e.sink != nil {
 			e.sink.Fail(s.req, e.c.Cycle(), exec.FailCrash)
 		}
-		e.tr.SlotAbandon(e.c.Cycle(), k, s.req.Index, 1)
+		e.c.Trace().SlotAbandon(e.c.Cycle(), k, s.req.Index, 1)
 		e.states[k] = *new(S)
 		e.retire(k, false)
 	}
@@ -293,9 +291,9 @@ func (e *StreamEngine[S]) Run(limit uint64) bool {
 		return true
 	}
 	// The fields the loop only reads live in locals.
-	c, tr, stager := e.c, e.tr, e.stager
+	c, stager := e.c, e.stager
 	slots, states := e.slots, e.states
-	p := c.Profiler()
+	p, tr := c.Profiler(), c.Trace()
 	p.Push(p.Frame("AMAC"))
 	defer p.Pop()
 	for {
@@ -401,19 +399,22 @@ func (e *StreamEngine[S]) Run(limit uint64) bool {
 // the unserved requests); a positive width resizes the window.
 func (e *StreamEngine[S]) sample() {
 	c := e.c
+	tr := c.Trace()
 	w := e.probe.sample(c, e.admit, e.stats.Completed)
-	e.tr.EngineSample(c.Cycle(), e.admit, w.Outstanding)
+	c.SetWidth(e.admit)
+	tr.EngineSample(c.Cycle(), e.admit, w.Outstanding)
 	switch target := e.ctl.Sample(w); {
 	case target < 0:
 		e.stopped = true
 		e.admit = 0
 		e.draining = 0
-		e.tr.Decision(c.Cycle(), obs.DecStopRun, int64(e.stats.Initiated), 0)
+		tr.Decision(c.Cycle(), obs.DecStopRun, int64(e.stats.Initiated), 0)
 	case target > 0:
 		old := e.admit
 		e.applyWidth(clampWidth(target, e.capW))
 		if e.admit != old {
-			e.tr.WidthChange(c.Cycle(), e.admit)
+			c.SetWidth(e.admit)
+			tr.WidthChange(c.Cycle(), e.admit)
 		}
 	}
 }

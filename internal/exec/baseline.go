@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"amac/internal/memsim"
-	"amac/internal/obs"
 )
 
 // BaselineStream executes requests one at a time, start to finish, with no
@@ -20,10 +19,10 @@ import (
 // left held by a previous phase, which the machines never do, so the spin
 // loop is bounded defensively.
 //
-// tr, if non-nil, records the single in-flight request's lifecycle on slot
-// track 0; nil records nothing and allocates nothing.
-func BaselineStream[S any](c *memsim.Core, src Source[S], tr *obs.CoreTrace) {
-	p := c.Profiler()
+// The core's trace, if attached, records the single in-flight request's
+// lifecycle on slot track 0; nil records nothing and allocates nothing.
+func BaselineStream[S any](c *memsim.Core, src Source[S]) {
+	p, tr := c.Profiler(), c.Trace()
 	p.Push(p.Frame("Baseline"))
 	defer p.Pop()
 	stager := StagerOf(src)

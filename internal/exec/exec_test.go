@@ -41,15 +41,15 @@ func checkAllCompleted(t *testing.T, m *exectest.ChainMachine) {
 // keep the batch tests below short.
 
 func runBaseline[S any](c *memsim.Core, m exec.Machine[S]) {
-	exec.BaselineStream(c, exec.NewMachineSource(m), nil)
+	exec.BaselineStream(c, exec.NewMachineSource(m))
 }
 
 func runGP[S any](c *memsim.Core, m exec.Machine[S], group int) {
-	exec.GroupPrefetchStream(c, exec.NewMachineSource(m), group, nil)
+	exec.GroupPrefetchStream(c, exec.NewMachineSource(m), group)
 }
 
 func runSPP[S any](c *memsim.Core, m exec.Machine[S], inflight int) {
-	exec.SoftwarePipelineStream(c, exec.NewMachineSource(m), inflight, nil)
+	exec.SoftwarePipelineStream(c, exec.NewMachineSource(m), inflight)
 }
 
 func uniformLengths(n, l int) []int {

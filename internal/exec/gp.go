@@ -1,9 +1,6 @@
 package exec
 
-import (
-	"amac/internal/memsim"
-	"amac/internal/obs"
-)
+import "amac/internal/memsim"
 
 // GroupPrefetchStream runs requests under Group Prefetching (Chen et al.),
 // the first of the paper's two prior-art techniques (Section 2.2.1): up to
@@ -25,12 +22,12 @@ import (
 //     whole batch. If at least one request is admitted the group starts
 //     immediately — GP does not hold a partial group open for stragglers.
 //
-// tr, if non-nil, records each group as a begin/end span on the engine track
-// (begin at the first member's admission, end after the clean-up pass, the
-// batch-boundary refill penalty made visible) and each member's lifecycle on
-// the slot track of its group position.
-func GroupPrefetchStream[S any](c *memsim.Core, src Source[S], group int, tr *obs.CoreTrace) {
-	p := c.Profiler()
+// The core's trace, if attached, records each group as a begin/end span on
+// the engine track (begin at the first member's admission, end after the
+// clean-up pass, the batch-boundary refill penalty made visible) and each
+// member's lifecycle on the slot track of its group position.
+func GroupPrefetchStream[S any](c *memsim.Core, src Source[S], group int) {
+	p, tr := c.Profiler(), c.Trace()
 	p.Push(p.Frame("GP"))
 	defer p.Pop()
 	if group < 1 {

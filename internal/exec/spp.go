@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"amac/internal/memsim"
-	"amac/internal/obs"
 )
 
 // pipeSlot is one SPP pipeline slot.
@@ -51,12 +50,12 @@ func getPipeSlots(n int) *[]pipeSlot { return GetPooled[pipeSlot](&pipeSlotPool,
 // run, which learns of the end only at a pull, also lets its finished slots
 // age out to their refill points first.
 //
-// tr, if non-nil, records each slot's occupancy as a begin/end span (begin
-// at admission, end at the slot's static refill point or bail-out), making
-// SPP's fixed refill boundaries directly comparable to AMAC's per-completion
-// refill in a trace viewer.
-func SoftwarePipelineStream[S any](c *memsim.Core, src Source[S], inflight int, tr *obs.CoreTrace) {
-	p := c.Profiler()
+// The core's trace, if attached, records each slot's occupancy as a
+// begin/end span (begin at admission, end at the slot's static refill point
+// or bail-out), making SPP's fixed refill boundaries directly comparable to
+// AMAC's per-completion refill in a trace viewer.
+func SoftwarePipelineStream[S any](c *memsim.Core, src Source[S], inflight int) {
+	p, tr := c.Profiler(), c.Trace()
 	p.Push(p.Frame("SPP"))
 	defer p.Pop()
 	if inflight < 1 {

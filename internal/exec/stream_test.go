@@ -31,13 +31,13 @@ func streamLengths(n int, seed uint64) []int {
 // streamEngines names each engine so table tests can sweep them.
 var streamEngines = map[string]func(c *memsim.Core, src exec.Source[exectest.ChainState]){
 	"BaselineStream": func(c *memsim.Core, src exec.Source[exectest.ChainState]) {
-		exec.BaselineStream(c, src, nil)
+		exec.BaselineStream(c, src)
 	},
 	"GroupPrefetchStream": func(c *memsim.Core, src exec.Source[exectest.ChainState]) {
-		exec.GroupPrefetchStream(c, src, 8, nil)
+		exec.GroupPrefetchStream(c, src, 8)
 	},
 	"SoftwarePipelineStream": func(c *memsim.Core, src exec.Source[exectest.ChainState]) {
-		exec.SoftwarePipelineStream(c, src, 8, nil)
+		exec.SoftwarePipelineStream(c, src, 8)
 	},
 }
 
@@ -98,10 +98,10 @@ func TestStreamAdaptersResolveLatchConflicts(t *testing.T) {
 	// conflicts cannot arise there at all.
 	for name, engine := range map[string]func(c *memsim.Core, src exec.Source[exectest.LatchState]){
 		"GroupPrefetchStream": func(c *memsim.Core, src exec.Source[exectest.LatchState]) {
-			exec.GroupPrefetchStream(c, src, 6, nil)
+			exec.GroupPrefetchStream(c, src, 6)
 		},
 		"SoftwarePipelineStream": func(c *memsim.Core, src exec.Source[exectest.LatchState]) {
-			exec.SoftwarePipelineStream(c, src, 6, nil)
+			exec.SoftwarePipelineStream(c, src, 6)
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

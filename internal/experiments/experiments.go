@@ -96,8 +96,9 @@ type Config struct {
 	// designated cell per experiment — serveN's AMAC cell at 90% load,
 	// adaptN's adaptive serving cell at 90% load, pipeN's planner-assigned
 	// mixed plan, obsN's replay — so the exported trace is deterministic
-	// regardless of -parallel. Purely observational: every table is
-	// byte-identical with or without it.
+	// regardless of -parallel. It attaches to the cell's cores after their
+	// warm-up, and every engine run on those cores records into it. Purely
+	// observational: every table is byte-identical with or without it.
 	Trace *obs.Trace
 	// Metrics, if non-nil, samples gauge time series from the same
 	// designated cell (obsN and the serving experiments). Purely

@@ -5,7 +5,6 @@ import (
 
 	"amac/internal/adapt"
 	"amac/internal/memsim"
-	"amac/internal/obs"
 	"amac/internal/profile"
 )
 
@@ -47,34 +46,11 @@ func obsN(cfg Config) []*profile.Table {
 	c := adaptCore(machine, ex)
 	ctl := adapt.NewController(adaptConfig(sz))
 
-	// Attach the observability sinks. Metrics without tracing still needs a
-	// CoreTrace as the width-gauge holder; an unregistered discard core serves
-	// (same contract as the serving layer).
-	tr := cfg.Trace.Core("adaptive core")
-	if tr == nil && cfg.Metrics != nil {
-		tr = obs.NewDiscardCore()
-	}
-	ctl.SetTrace(tr)
-	if cfg.Metrics != nil {
-		cm := cfg.Metrics.Core("adaptive core")
-		cm.Gauge("width", func() float64 { return float64(tr.Width()) })
-		cm.Gauge("mshr_outstanding", func() float64 { return float64(c.MSHROutstanding()) })
-		var prev memsim.Stats
-		cm.Gauge("stall_fraction", func() float64 {
-			s := c.Stats()
-			busy := (s.Cycles - prev.Cycles) - (s.IdleCycles - prev.IdleCycles)
-			stall := s.StallCycles - prev.StallCycles
-			prev = s
-			if busy == 0 {
-				return 0
-			}
-			return float64(stall) / float64(busy)
-		})
-		c.SetCycleHook(cfg.Metrics.Interval(), cm.Tick)
-	}
-
+	// Attach the observability sinks to the replay core.
+	c.SetTrace(cfg.Trace.Core("adaptive core"))
+	c.SetMetrics(cfg.Metrics.Core("adaptive core"))
 	ex.adaptive(c, ctl)
-	c.SetCycleHook(0, nil)
+	c.SetMetrics(nil)
 	cycles := c.Cycle()
 
 	decisions := ctl.Decisions()

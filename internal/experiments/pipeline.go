@@ -9,7 +9,6 @@ import (
 	"amac/internal/bst"
 	"amac/internal/ht"
 	"amac/internal/memsim"
-	"amac/internal/obs"
 	"amac/internal/ops"
 	"amac/internal/pipeline"
 	"amac/internal/profile"
@@ -145,13 +144,14 @@ type pipePlan struct {
 	// the planner must beat every uniform assignment on.
 	mixed bool
 
-	choice   func(e *sweepEnv) pipeline.PlanChoice
-	run      func(e *sweepEnv, cfgs []pipeline.StageConfig) pipeCell
+	choice func(e *sweepEnv) pipeline.PlanChoice
+	// run executes one static cell on a fresh measured core c (pipeCore).
+	run      func(e *sweepEnv, c *memsim.Core, cfgs []pipeline.StageConfig) pipeCell
 	adaptive func(e *sweepEnv) pipeCell
-	// traced re-runs the plan with a trace sink attached (stage slot
-	// lifecycle, pipe depth counters, backpressure instants); nil for plans
-	// whose cells rebuild non-reusable state.
-	traced func(e *sweepEnv, cfgs []pipeline.StageConfig, tr *obs.CoreTrace) pipeCell
+	// traced marks plans whose run may be repeated on a traced core (stage
+	// slot lifecycle, pipe depth counters, backpressure instants); false for
+	// plans whose cells rebuild non-reusable state.
+	traced bool
 	// serving runs the plan under open-loop arrivals and returns the merged
 	// end-to-end latency recorder (nil for plans without a serving variant).
 	serving func(e *sweepEnv, arrivals []uint64, qcap int, policy serve.Policy, cfgs []pipeline.StageConfig) *serve.Recorder
@@ -309,22 +309,14 @@ func pipePlans(machine memsim.Config, ps pipeSizes, seed uint64, acfg adapt.Conf
 		return ctls
 	}
 
-	// runCachedTraced runs one measured cell of a read-only cached workload,
-	// with an optional trace sink on the assembled pipeline.
-	runCachedTraced := func(wl func(e *sweepEnv) *pipeWorkload) func(e *sweepEnv, cfgs []pipeline.StageConfig, tr *obs.CoreTrace) pipeCell {
-		return func(e *sweepEnv, cfgs []pipeline.StageConfig, tr *obs.CoreTrace) pipeCell {
+	// runCached runs one measured cell of a read-only cached workload.
+	runCached := func(wl func(e *sweepEnv) *pipeWorkload) func(e *sweepEnv, c *memsim.Core, cfgs []pipeline.StageConfig) pipeCell {
+		return func(e *sweepEnv, c *memsim.Core, cfgs []pipeline.StageConfig) pipeCell {
 			w := wl(e)
 			w.out.Reset()
-			c := pipeCore(machine)
-			p := w.b.Build(w.out)
-			p.SetTrace(tr)
-			p.Run(c, cfgs)
+			w.b.Build(w.out).Run(c, cfgs)
 			return pipeCell{cycles: c.Cycle(), rows: w.rows}
 		}
-	}
-	runCached := func(wl func(e *sweepEnv) *pipeWorkload) func(e *sweepEnv, cfgs []pipeline.StageConfig) pipeCell {
-		rt := runCachedTraced(wl)
-		return func(e *sweepEnv, cfgs []pipeline.StageConfig) pipeCell { return rt(e, cfgs, nil) }
 	}
 	adaptCached := func(wl func(e *sweepEnv) *pipeWorkload, stages int) func(e *sweepEnv) pipeCell {
 		return func(e *sweepEnv) pipeCell {
@@ -357,8 +349,7 @@ func pipePlans(machine memsim.Config, ps pipeSizes, seed uint64, acfg adapt.Conf
 			name:   pipeAggPlan,
 			stages: 2,
 			choice: func(e *sweepEnv) pipeline.PlanChoice { return aggTwin(e).choice },
-			run: func(e *sweepEnv, cfgs []pipeline.StageConfig) pipeCell {
-				c := pipeCore(machine)
+			run: func(e *sweepEnv, c *memsim.Core, cfgs []pipeline.StageConfig) pipeCell {
 				freshAgg(true).Build(nil).Run(c, cfgs)
 				return pipeCell{cycles: c.Cycle(), rows: aggProbe.Len()}
 			},
@@ -375,7 +366,7 @@ func pipePlans(machine memsim.Config, ps pipeSizes, seed uint64, acfg adapt.Conf
 			run:      runCached(bstWL),
 			adaptive: adaptCached(bstWL, 2),
 			serving:  serveCached(bstWL),
-			traced:   runCachedTraced(bstWL),
+			traced:   true,
 		},
 		{
 			name:     pipeChainPlan,
@@ -384,7 +375,7 @@ func pipePlans(machine memsim.Config, ps pipeSizes, seed uint64, acfg adapt.Conf
 			choice:   func(e *sweepEnv) pipeline.PlanChoice { return chainWL(e).choice },
 			run:      runCached(chainWL),
 			adaptive: adaptCached(chainWL, 3),
-			traced:   runCachedTraced(chainWL),
+			traced:   true,
 		},
 	}
 }
@@ -506,10 +497,10 @@ func pipeN(cfg Config) []*profile.Table {
 		for ci, cc := range combos[pi] {
 			ci, cc := ci, cc
 			cells = append(cells, cellID{pi, ci})
-			tasks = append(tasks, func(e *sweepEnv) pipeCell { return p.run(e, cc) })
+			tasks = append(tasks, func(e *sweepEnv) pipeCell { return p.run(e, pipeCore(machine), cc) })
 		}
 		cells = append(cells, cellID{pi, -1})
-		tasks = append(tasks, func(e *sweepEnv) pipeCell { return p.run(e, p.choice(e).Configs) })
+		tasks = append(tasks, func(e *sweepEnv) pipeCell { return p.run(e, pipeCore(machine), p.choice(e).Configs) })
 		cells = append(cells, cellID{pi, -2})
 		tasks = append(tasks, func(e *sweepEnv) pipeCell { return p.adaptive(e) })
 	}
@@ -576,7 +567,7 @@ func pipeN(cfg Config) []*profile.Table {
 	if cfg.Trace != nil {
 		var tp *pipePlan
 		for i := range plans {
-			if plans[i].traced == nil {
+			if !plans[i].traced {
 				continue
 			}
 			if tp == nil || plans[i].mixed {
@@ -584,7 +575,9 @@ func pipeN(cfg Config) []*profile.Table {
 			}
 		}
 		if tp != nil {
-			tp.traced(defaultEnv, defaultEnv.planChoice(*tp).Configs, cfg.Trace.Core("pipeline"))
+			c := pipeCore(machine)
+			c.SetTrace(cfg.Trace.Core("pipeline"))
+			tp.run(defaultEnv, c, defaultEnv.planChoice(*tp).Configs)
 		}
 	}
 	return tables
@@ -628,7 +621,7 @@ func pipeServeTable(cfg Config, machine memsim.Config, plans []pipePlan) *profil
 	for i := range amacCfgs {
 		amacCfgs[i] = pipeline.StageConfig{Tech: ops.AMAC, Window: window}
 	}
-	batch := served.run(defaultEnv, amacCfgs)
+	batch := served.run(defaultEnv, pipeCore(machine), amacCfgs)
 	capacity := float64(batch.rows) / float64(batch.cycles) // req/cycle
 
 	rows := make([]string, len(pipeServeLoads))

@@ -42,7 +42,7 @@ func TestShapePipelinePlanner(t *testing.T) {
 			best, bestUniform := 0.0, 0.0
 			bestLabel := ""
 			for _, cc := range combos {
-				v := p.run(defaultEnv, cc).cyclesPerRow()
+				v := p.run(defaultEnv, pipeCore(scaledXeon()), cc).cyclesPerRow()
 				if best == 0 || v < best {
 					best, bestLabel = v, pipeComboLabel(cc)
 				}
@@ -51,7 +51,7 @@ func TestShapePipelinePlanner(t *testing.T) {
 				}
 			}
 			choice := p.choice(defaultEnv)
-			planner := p.run(defaultEnv, choice.Configs).cyclesPerRow()
+			planner := p.run(defaultEnv, pipeCore(scaledXeon()), choice.Configs).cyclesPerRow()
 			t.Logf("best static %s = %.1f cy/row, best uniform = %.1f, planner %s = %.1f",
 				bestLabel, best, bestUniform, defaultEnv.planChoiceLabel(p), planner)
 			if planner > 1.05*best {
@@ -82,7 +82,7 @@ func TestShapePipelineAdaptive(t *testing.T) {
 				for i := range cfgs {
 					cfgs[i] = pipeline.StageConfig{Tech: tech, Window: 10}
 				}
-				if v := p.run(defaultEnv, cfgs).cyclesPerRow(); uniformBest == 0 || v < uniformBest {
+				if v := p.run(defaultEnv, pipeCore(scaledXeon()), cfgs).cyclesPerRow(); uniformBest == 0 || v < uniformBest {
 					uniformBest = v
 				}
 			}
@@ -107,8 +107,8 @@ func TestPipeExperimentDeterministicCells(t *testing.T) {
 		for i := range cfgs {
 			cfgs[i] = pipeline.StageConfig{Tech: ops.AMAC, Window: 10}
 		}
-		first := p.run(defaultEnv, cfgs)
-		again := p.run(defaultEnv, cfgs)
+		first := p.run(defaultEnv, pipeCore(scaledXeon()), cfgs)
+		again := p.run(defaultEnv, pipeCore(scaledXeon()), cfgs)
 		if first != again {
 			t.Errorf("%s: repeated cell differs: %+v vs %+v", p.name, first, again)
 		}

@@ -3,6 +3,7 @@ package memsim
 import (
 	"math/bits"
 
+	"amac/internal/obs"
 	"amac/internal/prof"
 )
 
@@ -71,10 +72,10 @@ type Core struct {
 	// the better proxy for the load the thread places on the socket.
 	offchipDemand int
 
-	// Cycle hook (SetCycleHook): hookFn fires once per hookStep simulated
-	// cycles from every clock-advancing path. hookNext is ^uint64(0) when no
-	// hook is installed, so the fast paths pay one always-false compare and
-	// never a call. The hook observes (metrics sampling); it must not touch
+	// Cycle hook (setCycleHook, installed by SetMetrics): hookFn fires once
+	// per hookStep simulated cycles from every clock-advancing path.
+	// hookNext is ^uint64(0) when no hook is installed, so the fast paths
+	// pay one always-false compare and never a call. The hook observes (metrics sampling); it must not touch
 	// the core, so installing one cannot change simulated results.
 	hookFn   func(cycle uint64)
 	hookStep uint64
@@ -85,6 +86,14 @@ type Core struct {
 	// no-ops when disabled; attaching a profiler cannot change simulated
 	// results because the profiler only observes.
 	prof *prof.CoreProf
+
+	// trace, when non-nil, is the per-core event ring the engines, queues,
+	// pipes and controllers running on this core record into (SetTrace).
+	// Like the profiler it only observes.
+	trace *obs.CoreTrace
+	// width is the AMAC slot-window width most recently applied on this
+	// core (SetWidth); the metrics width gauge reads it.
+	width int
 
 	stats Stats
 }
@@ -117,13 +126,13 @@ func newCore(cfg *Config, l3 *Cache, fabric *Fabric) *Core {
 	return c
 }
 
-// SetCycleHook installs fn to fire once per step simulated cycles (at cycles
+// setCycleHook installs fn to fire once per step simulated cycles (at cycles
 // step, 2*step, ...), from whichever clock-advancing path first crosses each
-// boundary; fn receives the boundary cycle. The observability layer installs
-// metric samplers here. A nil fn or zero step removes the hook. The hook
-// must only observe the core — it runs mid-charge and any mutation would
-// corrupt the simulation.
-func (c *Core) SetCycleHook(step uint64, fn func(cycle uint64)) {
+// boundary; fn receives the boundary cycle. SetMetrics installs the metric
+// sampler here. A nil fn or zero step removes the hook. The hook must only
+// observe the core — it runs mid-charge and any mutation would corrupt the
+// simulation.
+func (c *Core) setCycleHook(step uint64, fn func(cycle uint64)) {
 	if fn == nil || step == 0 {
 		c.hookFn = nil
 		c.hookStep = 0
@@ -147,6 +156,58 @@ func (c *Core) SetProfiler(p *prof.CoreProf) { c.prof = p }
 // engines fetch it to push attribution context frames (technique, stage)
 // around their work; all frame operations are nil-safe.
 func (c *Core) Profiler() *prof.CoreProf { return c.prof }
+
+// SetTrace attaches a per-core event ring: every engine, serving queue,
+// pipeline pipe and adaptive controller that runs on this core records its
+// slot lifecycle, depth counters and decisions there. A nil trace (the
+// default) records nothing. Like the profiler it only observes, so
+// attaching one never changes simulated results.
+func (c *Core) SetTrace(t *obs.CoreTrace) { c.trace = t }
+
+// Trace returns the attached event ring, nil when disabled. Callers load it
+// into a local once per run, as they load Profiler; every recording method
+// is a nil-safe no-op.
+func (c *Core) Trace() *obs.CoreTrace { return c.trace }
+
+// SetWidth records the slot-window width the AMAC engine applied on this
+// core, which the metrics width gauge reports (0 before any AMAC probe
+// sample on the core).
+func (c *Core) SetWidth(w int) { c.width = w }
+
+// SetMetrics attaches a per-core gauge collection: it registers the core's
+// own gauges — width (SetWidth), mshr_outstanding and stall_fraction (stall
+// cycles over busy cycles since the previous sample) — and installs cm.Tick
+// as the cycle hook at the collection's sampling interval. Callers register
+// any further gauges on cm themselves. A nil cm removes the hook.
+func (c *Core) SetMetrics(cm *obs.CoreMetrics) {
+	if cm == nil {
+		c.setCycleHook(0, nil)
+		return
+	}
+	cm.Gauge("width", func() float64 { return float64(c.width) })
+	cm.Gauge("mshr_outstanding", func() float64 { return float64(c.MSHROutstanding()) })
+	var prev Stats
+	cm.Gauge("stall_fraction", func() float64 {
+		s := c.Stats()
+		busy := (s.Cycles - prev.Cycles) - (s.IdleCycles - prev.IdleCycles)
+		stall := s.StallCycles - prev.StallCycles
+		prev = s
+		if busy == 0 {
+			return 0
+		}
+		return float64(stall) / float64(busy)
+	})
+	c.setCycleHook(cm.Interval(), cm.Tick)
+}
+
+// detach removes every observer — trace, metrics hook and profiler — so a
+// recycled core never carries a previous run's sinks.
+func (c *Core) detach() {
+	c.setCycleHook(0, nil)
+	c.prof = nil
+	c.trace = nil
+	c.width = 0
+}
 
 // fireHook runs the cycle hook for every step boundary the clock has
 // crossed. Kept out of line so the advancing fast paths stay small.
@@ -320,10 +381,7 @@ func (c *Core) Reset() {
 	c.stats = Stats{}
 	c.cycle = 0
 	c.instrAcc = 0
-	c.hookFn = nil
-	c.hookStep = 0
-	c.hookNext = ^uint64(0)
-	c.prof = nil
+	c.detach()
 	c.memLat = c.cfg.MemLatencyCycles
 }
 

@@ -1,6 +1,12 @@
 package memsim
 
-import "testing"
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+
+	"amac/internal/obs"
+)
 
 // TestCycleHookFiresOnBoundaries drives the clock through all three
 // advancing paths (compute, stall, idle) and checks the hook fires once per
@@ -8,7 +14,7 @@ import "testing"
 func TestCycleHookFiresOnBoundaries(t *testing.T) {
 	_, c := newTestCore(t)
 	var fired []uint64
-	c.SetCycleHook(10, func(cycle uint64) { fired = append(fired, cycle) })
+	c.setCycleHook(10, func(cycle uint64) { fired = append(fired, cycle) })
 
 	c.Instr(25)                 // compute: crosses 10 and 20
 	c.Load(0x10000, 8)          // stall: cold miss jumps far past several boundaries
@@ -41,7 +47,7 @@ func TestCycleHookObservationalOnly(t *testing.T) {
 	run := func(hook bool) Stats {
 		_, c := newTestCore(t)
 		if hook {
-			c.SetCycleHook(7, func(uint64) {})
+			c.setCycleHook(7, func(uint64) {})
 		}
 		for i := 0; i < 50; i++ {
 			c.Instr(3)
@@ -61,7 +67,7 @@ func TestCycleHookObservationalOnly(t *testing.T) {
 func TestCycleHookResetStatsRearms(t *testing.T) {
 	_, c := newTestCore(t)
 	var fired []uint64
-	c.SetCycleHook(10, func(cycle uint64) { fired = append(fired, cycle) })
+	c.setCycleHook(10, func(cycle uint64) { fired = append(fired, cycle) })
 	c.Instr(25)
 	c.ResetStats()
 	fired = nil
@@ -74,7 +80,7 @@ func TestCycleHookResetStatsRearms(t *testing.T) {
 func TestCycleHookClearedByReset(t *testing.T) {
 	_, c := newTestCore(t)
 	fired := 0
-	c.SetCycleHook(10, func(uint64) { fired++ })
+	c.setCycleHook(10, func(uint64) { fired++ })
 	c.Reset()
 	c.Instr(100)
 	if fired != 0 {
@@ -83,11 +89,65 @@ func TestCycleHookClearedByReset(t *testing.T) {
 	if c.hookNext != ^uint64(0) {
 		t.Fatalf("Reset left hookNext armed at %d", c.hookNext)
 	}
-	// Removal via SetCycleHook(0, nil) too.
-	c.SetCycleHook(10, func(uint64) { fired++ })
-	c.SetCycleHook(0, nil)
+	// Removal via setCycleHook(0, nil) too.
+	c.setCycleHook(10, func(uint64) { fired++ })
+	c.setCycleHook(0, nil)
 	c.Instr(100)
 	if fired != 0 {
 		t.Fatalf("removed hook fired %d times", fired)
+	}
+}
+
+// TestSetMetricsCoreGauges attaches a metrics collection and checks the
+// core's own gauges: width reads the last SetWidth, mshr_outstanding the
+// MSHR file, stall_fraction the stall share of busy cycles since the
+// previous sample; samples land on interval boundaries, and SetMetrics(nil)
+// stops them.
+func TestSetMetricsCoreGauges(t *testing.T) {
+	_, c := newTestCore(t)
+	m := obs.NewMetrics(100)
+	c.SetMetrics(m.Core("core"))
+	c.Instr(150) // compute only: one sample at cycle 100, no stall
+	c.SetWidth(7)
+	c.Load(0x10000, 8) // cold miss: stalls past several boundaries
+	samples := m.Core("core").Samples()
+	c.SetMetrics(nil)
+	c.Instr(1000)
+	if got := m.Core("core").Samples(); got != samples {
+		t.Fatalf("detached hook kept sampling: %d samples, want %d", got, samples)
+	}
+
+	var buf bytes.Buffer
+	if err := m.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	type record struct {
+		Cycle  uint64             `json:"cycle"`
+		Values map[string]float64 `json:"values"`
+	}
+	var recs []record
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var r record
+		if err := dec.Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, r)
+	}
+	if len(recs) != samples || len(recs) < 2 {
+		t.Fatalf("decoded %d samples, want %d (at least 2)", len(recs), samples)
+	}
+	first, last := recs[0], recs[len(recs)-1]
+	if first.Cycle != 100 || first.Values["width"] != 0 || first.Values["stall_fraction"] != 0 {
+		t.Fatalf("first sample = %+v, want cycle 100, width 0, no stall", first)
+	}
+	if last.Values["width"] != 7 {
+		t.Fatalf("width gauge = %v after SetWidth(7)", last.Values["width"])
+	}
+	if f := last.Values["stall_fraction"]; f <= 0 || f > 1 {
+		t.Fatalf("stall_fraction = %v during a cold-miss stall, want (0, 1]", f)
+	}
+	if _, ok := last.Values["mshr_outstanding"]; !ok {
+		t.Fatalf("sample lacks mshr_outstanding: %+v", last)
 	}
 }

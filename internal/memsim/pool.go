@@ -48,11 +48,52 @@ func AcquireSystem(cfg Config) *PooledSystem {
 	return &PooledSystem{Sys: sys, Core: sys.NewCore(), pool: pool}
 }
 
-// Release returns the pair to its pool. The caller must not touch the
-// System or Core afterwards.
+// Release returns the pair to its pool. It detaches the core's trace,
+// metrics hook and profiler first, so a pooled core never holds a run's
+// sinks. The caller must not touch the System or Core afterwards.
 func (p *PooledSystem) Release() {
 	if p == nil || p.pool == nil {
 		return
 	}
+	p.Core.detach()
 	p.pool.Put(p)
+}
+
+// Shards is n pooled System+Core pairs modelling n threads on one socket,
+// as AcquireShards sets them up. Release returns every pair to its pool.
+type Shards struct {
+	// Cores holds each shard's core in shard order.
+	Cores []*Core
+
+	pooled []*PooledSystem
+}
+
+// AcquireShards sets up n shards of one socket of cfg: each gets a pooled
+// System whose LLC is its capacity share (Config.ShareLLC) and whose
+// off-chip queue is told all n threads are active. prepare, if non-nil,
+// then runs on every core in shard order (cache warming), after which the
+// core's stats reset, so a measured run starts at cycle zero against the
+// warmed hierarchy. Observers attach after this returns, which keeps the
+// warming unobserved.
+func AcquireShards(cfg Config, n int, prepare func(w int, c *Core)) Shards {
+	shared := cfg.ShareLLC(n)
+	s := Shards{Cores: make([]*Core, n), pooled: make([]*PooledSystem, n)}
+	for w := range n {
+		p := AcquireSystem(shared)
+		p.Sys.SetActiveThreads(n, p.Core)
+		if prepare != nil {
+			prepare(w, p.Core)
+		}
+		p.Core.ResetStats()
+		s.pooled[w], s.Cores[w] = p, p.Core
+	}
+	return s
+}
+
+// Release returns every shard's pair to its pool (detaching any observers).
+// The caller must not touch the cores afterwards.
+func (s Shards) Release() {
+	for _, p := range s.pooled {
+		p.Release()
+	}
 }

@@ -1,6 +1,11 @@
 package memsim
 
-import "testing"
+import (
+	"testing"
+
+	"amac/internal/obs"
+	"amac/internal/prof"
+)
 
 // poolSnapshot captures everything a run exposes: core counters plus the
 // hit/miss/eviction state of every cache level.
@@ -114,5 +119,44 @@ func TestCoreResetRestoresColdState(t *testing.T) {
 	got := exercise(sysB, b, 1)
 	if got != want {
 		t.Fatalf("reset core diverged from fresh:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestReleaseDetachesSinks attaches a trace, a metrics hook and a profiler
+// to a pooled core and releases it: the released core holds none of them,
+// and a core acquired again from the same pool reports no sinks and fires
+// no hook.
+func TestReleaseDetachesSinks(t *testing.T) {
+	cfg := testConfig()
+	p := AcquireSystem(cfg)
+	c := p.Core
+	fired := 0
+	cm := obs.NewMetrics(10).Core("pooled")
+	cm.Gauge("fired", func() float64 { fired++; return 0 })
+	c.SetTrace(obs.NewTrace(16).Core("pooled"))
+	c.SetMetrics(cm)
+	c.SetProfiler(prof.NewCoreProf("pooled"))
+	c.SetWidth(12)
+	c.Instr(100)
+	if fired == 0 {
+		t.Fatal("metrics hook never fired before Release")
+	}
+	p.Release()
+	if c.Trace() != nil || c.Profiler() != nil || c.hookFn != nil || c.width != 0 {
+		t.Fatalf("released core keeps sinks: trace %v, profiler %v, hook set %v, width %d",
+			c.Trace(), c.Profiler(), c.hookFn != nil, c.width)
+	}
+
+	fired = 0
+	q := AcquireSystem(cfg)
+	defer q.Release()
+	if q.Core.Trace() != nil || q.Core.Profiler() != nil || q.Core.width != 0 {
+		t.Fatalf("reacquired core carries sinks: trace %v, profiler %v, width %d",
+			q.Core.Trace(), q.Core.Profiler(), q.Core.width)
+	}
+	q.Core.Instr(100)
+	q.Core.AdvanceTo(q.Core.Cycle() + 100)
+	if fired != 0 {
+		t.Fatalf("a released metrics hook fired %d times on the reacquired core", fired)
 	}
 }

@@ -53,7 +53,7 @@ func (m *Metrics) Core(name string) *CoreMetrics {
 			return c
 		}
 	}
-	c := &CoreMetrics{name: name}
+	c := &CoreMetrics{name: name, interval: m.interval}
 	m.cores = append(m.cores, c)
 	return c
 }
@@ -99,11 +99,12 @@ func (m *Metrics) WriteJSONL(w io.Writer) error {
 // CoreMetrics is one core's gauge collection and its recorded samples. It is
 // single-goroutine like the core it observes; all methods are nil-safe.
 type CoreMetrics struct {
-	name   string
-	names  []string
-	gauges []func() float64
-	cycles []uint64
-	vals   [][]float64
+	name     string
+	interval uint64
+	names    []string
+	gauges   []func() float64
+	cycles   []uint64
+	vals     [][]float64
 }
 
 // Name returns the collection's registered core name.
@@ -112,6 +113,15 @@ func (c *CoreMetrics) Name() string {
 		return ""
 	}
 	return c.name
+}
+
+// Interval is the sampling period in simulated cycles inherited from the
+// registry (0 on a nil receiver).
+func (c *CoreMetrics) Interval() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.interval
 }
 
 // Gauge registers a named gauge; fn is polled at every sample tick. Gauges
@@ -131,8 +141,7 @@ func (c *CoreMetrics) Gauge(name string, fn func() float64) {
 }
 
 // Tick polls every gauge and appends one sample stamped with the simulated
-// cycle. Its signature matches memsim's cycle hook, so it installs directly:
-// core.SetCycleHook(interval, cm.Tick).
+// cycle. memsim.Core.SetMetrics installs it as the core's cycle hook.
 func (c *CoreMetrics) Tick(cycle uint64) {
 	if c == nil {
 		return

@@ -18,10 +18,14 @@
 //     (in-flight width, MSHR occupancy, queue depth, sliding-window p99,
 //     stall fraction), exported as JSON Lines.
 //
+// Both attach to a simulated core (memsim.Core.SetTrace, SetMetrics), the
+// one per-core instrumentation context: engines, queues, pipes and
+// controllers load the trace from the core they run on.
+//
 // Everything is nil-safe: a nil *Trace hands out nil *CoreTrace values, and
 // every CoreTrace/CoreMetrics/LatencyWindow method on a nil receiver is a
-// no-op. Instrumented code therefore threads the pointers unconditionally
-// and never branches on an "enabled" flag; the disabled path costs one
+// no-op. Instrumented code therefore calls them unconditionally and never
+// branches on an "enabled" flag; the disabled path costs one
 // predictable nil check per event site and allocates nothing (guarded by
 // TestDisabledObservabilityZeroAlloc and the traced-vs-untraced benchmark
 // pairs).

@@ -74,23 +74,15 @@ func (t *Trace) Cores() []*CoreTrace {
 	return append([]*CoreTrace(nil), t.cores...)
 }
 
-// NewDiscardCore returns an unregistered single-slot sink. The serving layer
-// uses it when metrics are enabled without tracing, so the width gauge still
-// has a live holder to read; nothing recorded into it is ever exported.
-func NewDiscardCore() *CoreTrace {
-	return &CoreTrace{name: "discard", buf: make([]Event, 1), mask: 0}
-}
-
 // CoreTrace is one core's event ring. All methods are nil-safe no-ops on a
 // nil receiver, cost a single predictable branch on the disabled path, and
 // never allocate. The ring is single-writer (the core's goroutine).
 type CoreTrace struct {
-	name  string
-	pid   int
-	buf   []Event
-	mask  uint64
-	head  uint64
-	width int
+	name string
+	pid  int
+	buf  []Event
+	mask uint64
+	head uint64
 }
 
 // Name returns the sink's registered core name.
@@ -138,15 +130,6 @@ func (c *CoreTrace) Events() []Event {
 		out = append(out, c.buf[i&c.mask])
 	}
 	return out
-}
-
-// Width returns the engine width most recently recorded via WidthChange or
-// EngineSample; the serving metrics layer reads it as a gauge.
-func (c *CoreTrace) Width() int {
-	if c == nil {
-		return 0
-	}
-	return c.width
 }
 
 func (c *CoreTrace) push(e Event) {
@@ -217,7 +200,6 @@ func (c *CoreTrace) EngineSample(cycle uint64, width, mshr int) {
 	if c == nil {
 		return
 	}
-	c.width = width
 	c.push(Event{Cycle: cycle, Kind: KindEngineSample, A: int64(width), B: int64(mshr)})
 }
 
@@ -226,7 +208,6 @@ func (c *CoreTrace) WidthChange(cycle uint64, width int) {
 	if c == nil {
 		return
 	}
-	c.width = width
 	c.push(Event{Cycle: cycle, Kind: KindWidthChange, A: int64(width)})
 }
 

@@ -4,10 +4,13 @@ import (
 	"slices"
 	"testing"
 
+	"amac/internal/core"
 	"amac/internal/exec"
 	"amac/internal/exec/exectest"
 	"amac/internal/memsim"
+	"amac/internal/obs"
 	"amac/internal/ops"
+	"amac/internal/prof"
 	"amac/internal/xrand"
 )
 
@@ -153,19 +156,24 @@ type fuzzCase struct {
 	script    uint64
 }
 
-// checkEngine runs a fresh machine from build under the case's technique
-// over a MachineSource and checks the engine invariants against a Baseline
-// run of another fresh machine: every lookup completes exactly once, the
-// completions match the Baseline's as a multiset (and so do the per-lookup
-// node visits, when build reports them), and AMAC's scheduler accounting
-// closes (Initiated == Completed + TimedOut + Aborted). A run a scripted
-// StopRun cut short resumes from the source, which keeps the unserved
-// lookups.
-func checkEngine[S any](t *testing.T, tc fuzzCase, build func() (m exec.Machine[S], done *[]int, visits []int)) {
-	t.Helper()
-	ref, refDone, refVisits := build()
-	ops.RunMachine(newCore(), ref, ops.Baseline, ops.Params{})
+// engineRun is one engine run's observable outcome: everything an attached
+// trace or profiler must leave untouched.
+type engineRun struct {
+	stats     memsim.Stats
+	sched     core.RunStats
+	completed int
+	done      []int
+	visits    []int
+}
 
+// runEngine runs a fresh machine from build under the case's technique over
+// a MachineSource on a fresh core. With observed set, a trace and a profiler
+// are attached to the core first; the profiler must then account exactly
+// the core's cycles and, when there was work, the trace must hold events. A
+// run a scripted StopRun cut short resumes from the source, which keeps the
+// unserved lookups.
+func runEngine[S any](t *testing.T, tc fuzzCase, build func() (m exec.Machine[S], done *[]int, visits []int), observed bool) engineRun {
+	t.Helper()
 	m, done, visits := build()
 	n := m.NumLookups()
 	p := ops.Params{Window: tc.window}
@@ -174,25 +182,57 @@ func checkEngine[S any](t *testing.T, tc fuzzCase, build func() (m exec.Machine[
 		p.MaxWidth, p.ProbeInterval = 32, 4
 	}
 	src := exec.NewMachineSource(m)
-	completed := 0
-	src.OnComplete = func(exec.Request, uint64) { completed++ }
+	var r engineRun
+	src.OnComplete = func(exec.Request, uint64) { r.completed++ }
 	c := newCore()
-	st := ops.RunSource(c, src, tc.tech, p, nil)
+	tr, cp := obs.NewTrace(0).Core("fuzz"), prof.NewCoreProf("fuzz")
+	if observed {
+		c.SetTrace(tr)
+		c.SetProfiler(cp)
+	}
+	r.sched = ops.RunSource(c, src, tc.tech, p)
 	if tc.tech == ops.AMAC {
+		st := r.sched
 		if st.Initiated != st.Completed+st.TimedOut+st.Aborted {
 			t.Fatalf("%+v: slot accounting leaks: %+v", tc, st)
 		}
-		if st.Completed != completed {
-			t.Fatalf("%+v: engine counted %d completions, source saw %d", tc, st.Completed, completed)
+		if st.Completed != r.completed {
+			t.Fatalf("%+v: engine counted %d completions, source saw %d", tc, st.Completed, r.completed)
 		}
 		if st.Initiated < n {
-			ops.RunSource(c, src, tc.tech, ops.Params{Window: tc.window}, nil)
+			ops.RunSource(c, src, tc.tech, ops.Params{Window: tc.window})
 		}
 	}
-	if completed != n {
-		t.Fatalf("%+v: %d of %d lookups completed", tc, completed, n)
+	r.stats, r.done, r.visits = c.Stats(), *done, visits
+	if observed {
+		if got := cp.TotalCycles(); got != r.stats.Cycles {
+			t.Fatalf("%+v: profiler attributed %d cycles, core counted %d", tc, got, r.stats.Cycles)
+		}
+		if n > 0 && tr.Len() == 0 {
+			t.Fatalf("%+v: traced run recorded no events", tc)
+		}
 	}
-	got, want := slices.Sorted(slices.Values(*done)), slices.Sorted(slices.Values(*refDone))
+	return r
+}
+
+// checkEngine runs the case's engine and checks the engine invariants
+// against a Baseline run of another fresh machine: every lookup completes
+// exactly once, the completions match the Baseline's as a multiset (and so
+// do the per-lookup node visits, when build reports them), and AMAC's
+// scheduler accounting closes (Initiated == Completed + TimedOut + Aborted).
+// It then reruns the case with a trace and a profiler attached to the core:
+// the observed run must be identical to the plain one — core stats,
+// scheduler stats, completion order and node visits.
+func checkEngine[S any](t *testing.T, tc fuzzCase, build func() (m exec.Machine[S], done *[]int, visits []int)) {
+	t.Helper()
+	ref, refDone, refVisits := build()
+	ops.RunMachine(newCore(), ref, ops.Baseline, ops.Params{})
+
+	r := runEngine(t, tc, build, false)
+	if n := len(*refDone); r.completed != n {
+		t.Fatalf("%+v: %d of %d lookups completed", tc, r.completed, n)
+	}
+	got, want := slices.Sorted(slices.Values(r.done)), slices.Sorted(slices.Values(*refDone))
 	if !slices.Equal(got, want) {
 		t.Fatalf("%+v: completions %v, Baseline's %v", tc, got, want)
 	}
@@ -201,15 +241,22 @@ func checkEngine[S any](t *testing.T, tc fuzzCase, build func() (m exec.Machine[
 			t.Fatalf("%+v: lookup %d completed twice", tc, got[i])
 		}
 	}
-	if !slices.Equal(visits, refVisits) {
-		t.Fatalf("%+v: node visits %v, Baseline's %v", tc, visits, refVisits)
+	if !slices.Equal(r.visits, refVisits) {
+		t.Fatalf("%+v: node visits %v, Baseline's %v", tc, r.visits, refVisits)
+	}
+
+	o := runEngine(t, tc, build, true)
+	if o.stats != r.stats || o.sched != r.sched || o.completed != r.completed ||
+		!slices.Equal(o.done, r.done) || !slices.Equal(o.visits, r.visits) {
+		t.Fatalf("%+v: traced and profiled run differs:\nplain:    %+v\nobserved: %+v", tc, r, o)
 	}
 }
 
 // FuzzEngines drives every technique's engine over random chain and latch
 // machines with windows (GP group sizes, SPP depths, AMAC widths) of 1 to 32
 // and, for AMAC, an optional scripted width controller that resizes the
-// window or stops the run. See checkEngine for the invariants. The CI runs
+// window or stops the run. Every input runs twice, plain and with a trace
+// and a profiler attached to the core. See checkEngine for the invariants. The CI runs
 // it with -fuzz for a bounded time; plain go test replays the seed corpus
 // in testdata/fuzz/FuzzEngines.
 func FuzzEngines(f *testing.F) {

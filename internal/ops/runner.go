@@ -6,7 +6,6 @@ import (
 	"amac/internal/core"
 	"amac/internal/exec"
 	"amac/internal/memsim"
-	"amac/internal/obs"
 )
 
 // Technique selects which execution engine schedules an operator's stage
@@ -86,12 +85,11 @@ func (p Params) window() int {
 	return p.Window
 }
 
-// AMACOptions maps the parameters onto the AMAC engine's options, with tr as
-// its trace sink.
-func (p Params) AMACOptions(tr *obs.CoreTrace) core.Options {
+// AMACOptions maps the parameters onto the AMAC engine's options.
+func (p Params) AMACOptions() core.Options {
 	return core.Options{
 		Width: p.window(), Controller: p.Controller,
-		MaxWidth: p.MaxWidth, ProbeInterval: p.ProbeInterval, Trace: tr,
+		MaxWidth: p.MaxWidth, ProbeInterval: p.ProbeInterval,
 	}
 }
 
@@ -99,17 +97,17 @@ func (p Params) AMACOptions(tr *obs.CoreTrace) core.Options {
 // c: a fixed batch (exec.MachineSource), a serving queue, a pipeline pipe or
 // an adaptive lease. Each technique has this one engine. AMAC returns its
 // scheduler stats; the other engines report everything through the source.
-// tr, if non-nil, records the engine's slot lifecycle.
-func RunSource[S any](c *memsim.Core, src exec.Source[S], tech Technique, p Params, tr *obs.CoreTrace) core.RunStats {
+// The core's trace, if attached, records the engine's slot lifecycle.
+func RunSource[S any](c *memsim.Core, src exec.Source[S], tech Technique, p Params) core.RunStats {
 	switch tech {
 	case Baseline:
-		exec.BaselineStream(c, src, tr)
+		exec.BaselineStream(c, src)
 	case GP:
-		exec.GroupPrefetchStream(c, src, p.window(), tr)
+		exec.GroupPrefetchStream(c, src, p.window())
 	case SPP:
-		exec.SoftwarePipelineStream(c, src, p.window(), tr)
+		exec.SoftwarePipelineStream(c, src, p.window())
 	case AMAC:
-		return core.RunStream(c, src, p.AMACOptions(tr))
+		return core.RunStream(c, src, p.AMACOptions())
 	default:
 		panic(fmt.Sprintf("ops: unknown technique %d", int(tech)))
 	}
@@ -123,8 +121,8 @@ func RunSource[S any](c *memsim.Core, src exec.Source[S], tech Technique, p Para
 func RunMachine[S any](c *memsim.Core, m exec.Machine[S], tech Technique, p Params) {
 	switch {
 	case tech == AMAC:
-		core.Run(c, m, p.AMACOptions(nil))
+		core.Run(c, m, p.AMACOptions())
 	case m.NumLookups() > 0:
-		RunSource(c, exec.NewMachineSource(m), tech, p, nil)
+		RunSource(c, exec.NewMachineSource(m), tech, p)
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"amac/internal/arena"
 	"amac/internal/memsim"
-	"amac/internal/obs"
 	"amac/internal/ops"
 )
 
@@ -79,9 +78,8 @@ type pipe struct {
 	tap    []ops.JoinRow
 	tapCap int
 
-	// tr receives a depth counter event on every push and pop (nil-safe
-	// no-op); idx names the pipe on the trace track.
-	tr  *obs.CoreTrace
+	// idx names the pipe on the trace track: every push and pop records a
+	// depth counter event into the core's trace (a nil-safe no-op).
 	idx int
 }
 
@@ -124,7 +122,7 @@ func (p *pipe) Emit(c *memsim.Core, rid int, key, buildPayload, probePayload uin
 		p.tap = append(p.tap, r.JoinRow)
 	}
 	p.rows = append(p.rows, r)
-	p.tr.PipeDepth(c.Cycle(), p.idx, p.depth())
+	c.Trace().PipeDepth(c.Cycle(), p.idx, p.depth())
 }
 
 // pop removes and returns the head row, charging its load.
@@ -140,6 +138,6 @@ func (p *pipe) pop(c *memsim.Core) Row {
 		p.rows = p.rows[:0]
 		p.head = 0
 	}
-	p.tr.PipeDepth(c.Cycle(), p.idx, p.depth())
+	c.Trace().PipeDepth(c.Cycle(), p.idx, p.depth())
 	return r
 }

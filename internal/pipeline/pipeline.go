@@ -33,7 +33,6 @@ import (
 	"amac/internal/exec"
 	"amac/internal/ht"
 	"amac/internal/memsim"
-	"amac/internal/obs"
 	"amac/internal/ops"
 	"amac/internal/serve"
 )
@@ -406,26 +405,7 @@ type Pipeline struct {
 	// depth k, so each stage's tuner observes only its own engine's work.
 	nested []uint64
 
-	// tr receives stage engine events, pipe depth counters and backpressure
-	// instants (SetTrace); nil methods no-op. Purely observational.
-	tr *obs.CoreTrace
-
 	used bool
-}
-
-// SetTrace attaches a per-core trace sink to the pipeline: every stage
-// engine's slot lifecycle, each pipe's depth counter, and a backpressure
-// instant whenever a pump lease ends on a full outbound pipe. Purely
-// observational — simulated results are bit-identical with or without it.
-// Call before Run/RunAdaptive.
-func (p *Pipeline) SetTrace(tr *obs.CoreTrace) {
-	p.tr = tr
-	for _, st := range p.stages {
-		st.tr = tr
-	}
-	for _, pp := range p.pipes {
-		pp.tr = tr
-	}
 }
 
 // StageReport is one stage's outcome.
@@ -481,7 +461,7 @@ func (p *Pipeline) pump(c *memsim.Core, idx int) (waitUntil uint64) {
 	if st.out != nil && st.out.full() {
 		// The lease ended on a full outbound pipe: downstream backpressure
 		// closed the gate.
-		p.tr.Backpressure(c.Cycle(), idx)
+		c.Trace().Backpressure(c.Cycle(), idx)
 	}
 	return res.waitUntil
 }
@@ -561,10 +541,7 @@ func (p *Pipeline) RunAdaptive(c *memsim.Core, ctls []*adapt.Controller) Result 
 		if st.in != nil {
 			depth = st.in.depth
 		}
-		if p.tr != nil {
-			ctls[i].SetTrace(p.tr)
-		}
-		st.tuner = adapt.NewStreamTuner(ctls[i], depth)
+		st.tuner = adapt.NewStreamTuner(c, ctls[i], depth)
 	}
 	p.runPrelude(c)
 	last := len(p.stages) - 1

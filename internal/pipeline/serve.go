@@ -56,23 +56,10 @@ func ServeParallel(hw memsim.Config, pipes []*Pipeline,
 	if n == 0 {
 		return exec.ParallelStats{}
 	}
-	shared := hw.ShareLLC(n)
-	pooled := make([]*memsim.PooledSystem, n)
-	cores := make([]*memsim.Core, n)
-	for w := 0; w < n; w++ {
-		pooled[w] = memsim.AcquireSystem(shared)
-		cores[w] = pooled[w].Core
-		pooled[w].Sys.SetActiveThreads(n, cores[w])
-		if prepare != nil {
-			prepare(w, cores[w])
-		}
-		cores[w].ResetStats()
-	}
-	ps := exec.RunParallel(cores, func(w int, c *memsim.Core) {
+	shards := memsim.AcquireShards(hw, n, prepare)
+	ps := exec.RunParallel(shards.Cores, func(w int, c *memsim.Core) {
 		body(w, c, pipes[w])
 	})
-	for w := 0; w < n; w++ {
-		pooled[w].Release()
-	}
+	shards.Release()
 	return ps
 }

@@ -5,7 +5,6 @@ import (
 	"amac/internal/core"
 	"amac/internal/exec"
 	"amac/internal/memsim"
-	"amac/internal/obs"
 	"amac/internal/ops"
 )
 
@@ -108,15 +107,11 @@ type stageExec struct {
 	// tuner is set (one per stage) in adaptive runs.
 	tuner *adapt.StreamTuner
 
-	// tr is the pipeline's trace sink (SetTrace); nil methods no-op.
-	tr *obs.CoreTrace
-
 	done  bool
 	sched core.RunStats
 }
 
-// makeRunner builds the engine-dispatch closure over a stage's source. The
-// stage's trace sink is read at lease time, so SetTrace works after Build.
+// makeRunner builds the engine-dispatch closure over a stage's source.
 func makeRunner[S any](st *stageExec, src exec.Source[S]) stageRunner {
 	return func(c *memsim.Core, tech ops.Technique, params ops.Params, quota int, gate func() bool, noWait bool) leaseOutcome {
 		drive := src
@@ -130,7 +125,7 @@ func makeRunner[S any](st *stageExec, src exec.Source[S]) stageRunner {
 		// profile of the shared core.
 		p := c.Profiler()
 		p.Push(p.Frame(st.label))
-		sched := ops.RunSource(c, drive, tech, params, st.tr)
+		sched := ops.RunSource(c, drive, tech, params)
 		p.Pop()
 		if lease == nil {
 			return leaseOutcome{exhausted: true, sched: sched}

@@ -139,7 +139,7 @@ type router struct {
 	breakers []*fault.Breaker // nil when breakers are disabled
 
 	recs   []*Recorder
-	trs    []*obs.CoreTrace
+	cores  []*memsim.Core
 	down   []bool
 	inject []func(extra)
 
@@ -224,7 +224,7 @@ func (r *router) redirect(home int, idx int32, arrival uint64) bool {
 	}
 	st.copies++
 	r.inject[target](extra{idx: idx, arrival: arrival, ready: arrival})
-	r.trs[home].Reroute(arrival, int(idx), target)
+	r.cores[home].Trace().Reroute(arrival, int(idx), target)
 	return true
 }
 
@@ -280,7 +280,7 @@ func (r *router) onCopyDead(shard int, idx int32, arrival, at uint64, kind exec.
 		ready := at + r.retry.Delay(int(st.attempt))
 		r.inject[target](extra{idx: idx, attempt: st.attempt, arrival: arrival, ready: ready})
 		r.recs[home].Retried++
-		r.trs[home].Requeue(at, int(idx), int(st.attempt))
+		r.cores[home].Trace().Requeue(at, int(idx), int(st.attempt))
 		return
 	}
 	st.status = reqDead
@@ -343,7 +343,7 @@ func (r *router) hedgeScan(t uint64) {
 			st.copies++
 			r.inject[target](extra{idx: idx, arrival: arrival, ready: t})
 			r.recs[home].Hedged++
-			r.trs[home].Hedge(t, int(idx), target)
+			r.cores[home].Trace().Hedge(t, int(idx), target)
 		}
 		r.hedgeCur[home] = cur
 	}
@@ -360,7 +360,7 @@ func (r *router) breakerRound(t uint64) {
 		b.Observe(t, r.roundDone[w], r.roundDead[w])
 		r.roundDone[w], r.roundDead[w] = 0, 0
 		for _, tr := range b.Transitions()[before:] {
-			r.trs[w].Breaker(t, int(tr.From), int(tr.To))
+			r.cores[w].Trace().Breaker(t, int(tr.From), int(tr.To))
 		}
 	}
 }
@@ -418,35 +418,22 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 		arr[w] = fault.ApplySpikes(a[:min(len(a), workers[w].Machine.NumLookups())], eps)
 	}
 
-	pooled := make([]*memsim.PooledSystem, n)
-	cores := make([]*memsim.Core, n)
+	shards := memsim.AcquireShards(opts.Hardware, n, opts.Prepare)
+	cores := shards.Cores
 	sources := make([]*QueueSource[S], n)
-	trs := make([]*obs.CoreTrace, n)
 	lws := make([]*obs.LatencyWindow, n)
 	var brown []*fault.Brownout
 	if opts.SLO.Enabled() {
 		brown = make([]*fault.Brownout, n)
 	}
-	shared := opts.Hardware.ShareLLC(n)
 	for w := 0; w < n; w++ {
-		pooled[w] = memsim.AcquireSystem(shared)
-		cores[w] = pooled[w].Core
-		pooled[w].Sys.SetActiveThreads(n, cores[w])
-		if opts.Prepare != nil {
-			opts.Prepare(w, cores[w])
-		}
-		cores[w].ResetStats()
-		cores[w].SetProfiler(opts.Profile.Core(fmt.Sprintf("worker %d", w)))
-		sources[w] = NewQueueSource(workers[w].Machine, arr[w], opts.QueueCap, opts.Policy, nil)
-		// Tracks register here, in worker order on one goroutine, so the
+		// Sinks register here, in worker order on one goroutine, so the
 		// exported trace's process layout is deterministic regardless of the
-		// goroutine schedule. Metrics without tracing still needs a CoreTrace
-		// as the width-gauge holder; an unregistered discard core serves.
-		trs[w] = opts.Trace.Core(fmt.Sprintf("worker %d", w))
-		if trs[w] == nil && opts.Metrics != nil {
-			trs[w] = obs.NewDiscardCore()
-		}
-		sources[w].SetTrace(trs[w])
+		// goroutine schedule.
+		name := fmt.Sprintf("worker %d", w)
+		cores[w].SetProfiler(opts.Profile.Core(name))
+		cores[w].SetTrace(opts.Trace.Core(name))
+		sources[w] = NewQueueSource(workers[w].Machine, arr[w], opts.QueueCap, opts.Policy, nil)
 		if opts.Metrics != nil || brown != nil {
 			lws[w] = obs.NewLatencyWindow(0)
 			sources[w].SetLatencyWindow(lws[w])
@@ -460,24 +447,11 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 			sources[w].SetSchedule(opts.Sched[w])
 		}
 		if opts.Metrics != nil {
-			cm := opts.Metrics.Core(fmt.Sprintf("worker %d", w))
-			src, c, tr, lw := sources[w], cores[w], trs[w], lws[w]
+			cm := opts.Metrics.Core(name)
+			src, lw := sources[w], lws[w]
 			cm.Gauge("queue_depth", func() float64 { return float64(src.Depth()) })
-			cm.Gauge("mshr_outstanding", func() float64 { return float64(c.MSHROutstanding()) })
-			cm.Gauge("width", func() float64 { return float64(tr.Width()) })
 			cm.Gauge("p99_window", func() float64 { return float64(lw.Quantile(0.99)) })
-			var prev memsim.Stats
-			cm.Gauge("stall_fraction", func() float64 {
-				s := c.Stats()
-				busy := (s.Cycles - prev.Cycles) - (s.IdleCycles - prev.IdleCycles)
-				stall := s.StallCycles - prev.StallCycles
-				prev = s
-				if busy == 0 {
-					return 0
-				}
-				return float64(stall) / float64(busy)
-			})
-			c.SetCycleHook(opts.Metrics.Interval(), cm.Tick)
+			cores[w].SetMetrics(cm)
 		}
 	}
 
@@ -488,7 +462,7 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 			retry:     opts.Retry,
 			hedge:     opts.Hedge,
 			recs:      make([]*Recorder, n),
-			trs:       trs,
+			cores:     cores,
 			down:      down,
 			inject:    make([]func(extra), n),
 			scheds:    arr,
@@ -534,7 +508,6 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 		switch {
 		case ctls != nil:
 			ctls[w] = adapt.NewController(*opts.Adaptive)
-			ctls[w].SetTrace(trs[w])
 			if brown != nil {
 				b := brown[w]
 				ctls[w].SetTailBias(func() bool { return b.Level() > 0 })
@@ -544,13 +517,13 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 				return true
 			}
 		case opts.Technique == ops.AMAC:
-			o := p.AMACOptions(trs[w])
+			o := p.AMACOptions()
 			o.Deadline = opts.Deadline
 			engines[w] = core.NewStreamEngine(c, src, o)
 			step[w] = engines[w].Run
 		default:
 			step[w] = func(uint64) bool {
-				sched[w] = ops.RunSource(c, src, opts.Technique, p, trs[w])
+				sched[w] = ops.RunSource(c, src, opts.Technique, p)
 				return true
 			}
 		}
@@ -581,7 +554,7 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 						infos[w].Episodes++
 						scaled := uint64(float64(baseLat) * ep.Factor)
 						cores[w].SetMemLatency(scaled)
-						trs[w].Fault(ep.Start, ep.Dur, int(ep.Kind), int64(ep.Factor*1000))
+						cores[w].Trace().Fault(ep.Start, ep.Dur, int(ep.Kind), int64(ep.Factor*1000))
 					} else {
 						cores[w].SetMemLatency(0)
 					}
@@ -590,7 +563,7 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 						infos[w].Episodes++
 						down[w] = true
 						downUntil[w] = ep.End()
-						trs[w].Fault(ep.Start, ep.Dur, int(ep.Kind), 1000)
+						cores[w].Trace().Fault(ep.Start, ep.Dur, int(ep.Kind), 1000)
 					}
 				case fault.Crash:
 					if begin {
@@ -600,12 +573,12 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 						cores[w].FlushPrivate()
 						down[w] = true
 						downUntil[w] = ep.End()
-						trs[w].Fault(ep.Start, ep.Dur, int(ep.Kind), 1000)
+						cores[w].Trace().Fault(ep.Start, ep.Dur, int(ep.Kind), 1000)
 					}
 				case fault.Spike:
 					if begin {
 						infos[w].Episodes++
-						trs[w].Fault(ep.Start, ep.Dur, int(ep.Kind), int64(ep.Factor*1000))
+						cores[w].Trace().Fault(ep.Start, ep.Dur, int(ep.Kind), int64(ep.Factor*1000))
 					}
 				}
 			})
@@ -651,7 +624,7 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 		}
 		for w, b := range brown {
 			if lvl, changed := b.Observe(lws[w].Quantile(0.99)); changed {
-				trs[w].Brownout(t, lvl)
+				cores[w].Trace().Brownout(t, lvl)
 			}
 		}
 		if !closed && r.outstanding == 0 && !slices.ContainsFunc(sources, (*QueueSource[S]).pending) {
@@ -693,10 +666,8 @@ func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
 		res.Latency.Merge(sources[w].Recorder())
 		res.Faults.Merge(&infos[w])
 		sources[w].Close()
-		cores[w].SetCycleHook(0, nil) // pooled core: never leak a hook or profiler past the run
-		cores[w].SetProfiler(nil)
-		pooled[w].Release()
 	}
+	shards.Release()
 	res.Stats = memsim.MergeParallel(perStats)
 	res.Sched = core.MergeRunStats(sched)
 	return res

@@ -1,13 +1,17 @@
 package serve
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"amac/internal/adapt"
 	"amac/internal/exec/exectest"
 	"amac/internal/fault"
 	"amac/internal/memsim"
+	"amac/internal/obs"
 	"amac/internal/ops"
+	"amac/internal/prof"
 	"amac/internal/xrand"
 )
 
@@ -28,7 +32,8 @@ const (
 // Drop-queue and SLO toggles, and round lengths of 128 to 8192 cycles. The
 // oracle: the options either fail validation — and RunFaulty then panics
 // with that error — or the run completes with every request accounted
-// exactly once and no leaked slot. The CI runs it with -fuzz for a bounded
+// exactly once and no leaked slot, and a rerun with Trace, Metrics and
+// Profile set returns an identical Result. The CI runs it with -fuzz for a bounded
 // time; plain go test replays the seed corpus in testdata/fuzz/FuzzServe.
 func FuzzServe(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint8(40), uint8(3), uint8(5), false, uint16(300), uint8(1), uint16(0), uint8(0), uint8(3))
@@ -93,6 +98,19 @@ func FuzzServe(f *testing.F) {
 		}
 		res := RunFaulty(opts, workers)
 		checkServed(t, res, perShard, opts.routed())
+
+		// The same run on fresh machines with every sink attached must be
+		// identical, and the profiler must account each shard's cycles.
+		workers, _ = fuzzWorkers(seed, nShards, perShard, bursty, uint64(period))
+		opts.Trace, opts.Metrics, opts.Profile = obs.NewTrace(1024), obs.NewMetrics(0), prof.NewProfile()
+		if observed := RunFaulty(opts, workers); !reflect.DeepEqual(observed, res) {
+			t.Fatalf("traced, metered and profiled run differs:\nplain:    %+v\nobserved: %+v", res, observed)
+		}
+		for w, wr := range res.PerWorker {
+			if got := opts.Profile.Core(fmt.Sprintf("worker %d", w)).TotalCycles(); got != wr.Stats.Cycles {
+				t.Fatalf("shard %d: profiler attributed %d cycles, core counted %d", w, got, wr.Stats.Cycles)
+			}
+		}
 	})
 }
 

@@ -1,12 +1,15 @@
 package serve_test
 
 import (
+	"bytes"
+	"regexp"
 	"testing"
 
 	"amac/internal/adapt"
 	"amac/internal/core"
 	"amac/internal/exec/exectest"
 	"amac/internal/memsim"
+	"amac/internal/obs"
 	"amac/internal/ops"
 	"amac/internal/relation"
 	"amac/internal/serve"
@@ -137,7 +140,7 @@ func TestQueueSourceLatencyIncludesQueueWait(t *testing.T) {
 	m := exectest.NewChainMachine(chainLengths(2, 4), 3)
 	src := serve.NewQueueSource[exectest.ChainState](m, []uint64{0, 0}, 0, serve.Block, nil)
 	c := newCore()
-	ops.RunSource(c, src, ops.Baseline, ops.Params{}, nil)
+	ops.RunSource(c, src, ops.Baseline, ops.Params{})
 	rec := src.Recorder()
 	if rec.Completed != 2 {
 		t.Fatalf("completed=%d", rec.Completed)
@@ -162,7 +165,7 @@ func streamJoinOutput(t *testing.T, tech ops.Technique, arrivals []uint64) (coun
 	j.PrebuildRaw()
 	out := ops.NewOutput(j.Arena, false)
 	src := serve.NewQueueSource[ops.ProbeState](j.ProbeMachine(out, false), arrivals, 0, serve.Block, nil)
-	ops.RunSource(newCore(), src, tech, ops.Params{Window: 8}, nil)
+	ops.RunSource(newCore(), src, tech, ops.Params{Window: 8})
 	if got := src.Recorder().Completed; got != uint64(len(arrivals)) {
 		t.Fatalf("%s completed %d of %d requests", tech, got, len(arrivals))
 	}
@@ -211,7 +214,7 @@ func TestAMACStreamHoldsTailUnderLoad(t *testing.T) {
 		out := ops.NewOutput(j.Arena, false)
 		arrivals := serve.Poisson{MeanPeriod: period}.Schedule(probe.Len(), 17)
 		src := serve.NewQueueSource[ops.ProbeState](j.ProbeMachine(out, true), arrivals, 0, serve.Block, nil)
-		ops.RunSource(newCore(), src, tech, ops.Params{Window: 10}, nil)
+		ops.RunSource(newCore(), src, tech, ops.Params{Window: 10})
 		return src.Recorder().P99()
 	}
 
@@ -376,5 +379,47 @@ func TestServiceAdaptiveServesEverything(t *testing.T) {
 	if count2 != count || checksum2 != checksum || res2.ElapsedCycles() != res.ElapsedCycles() ||
 		res2.Latency.P99() != res.Latency.P99() {
 		t.Fatal("adaptive service runs must be deterministic")
+	}
+}
+
+// TestAdaptiveMetricsIdenticalWithTrace runs one adaptive two-shard service
+// with metrics only and again with a trace attached as well: the metrics
+// JSON Lines must be byte-identical. The width gauge reads the width the
+// AMAC engine records on its core, so it needs no trace to hold it — and
+// the metrics-only run must still see the controller's widths.
+func TestAdaptiveMetricsIdenticalWithTrace(t *testing.T) {
+	const workers, perShard = 2, 3000
+	metrics := func(tr *obs.Trace) []byte {
+		specs := make([]serve.Worker[exectest.ChainState], workers)
+		for w := range specs {
+			specs[w] = serve.Worker[exectest.ChainState]{
+				Machine:  exectest.NewChainMachine(chainLengths(perShard, 4), 3),
+				Arrivals: serve.Poisson{MeanPeriod: 90}.Schedule(perShard, uint64(w)+1),
+			}
+		}
+		m := obs.NewMetrics(2048)
+		serve.Run(serve.Options{
+			Hardware: memsim.XeonX5670(),
+			Adaptive: &adapt.Config{RetuneRequests: 256, ProbeRequests: 64},
+			Trace:    tr,
+			Metrics:  m,
+		}, specs)
+		var buf bytes.Buffer
+		if err := m.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	plain := metrics(nil)
+	tr := obs.NewTrace(0)
+	traced := metrics(tr)
+	if !bytes.Equal(plain, traced) {
+		t.Fatalf("metrics differ with a trace attached:\n--- metrics only ---\n%s\n--- traced ---\n%s", plain, traced)
+	}
+	if len(tr.Cores()) != workers {
+		t.Fatalf("trace registered %d cores, want %d", len(tr.Cores()), workers)
+	}
+	if !regexp.MustCompile(`"width":[1-9]`).Match(plain) {
+		t.Fatalf("metrics-only run never saw a nonzero width:\n%s", plain)
 	}
 }

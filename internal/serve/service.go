@@ -45,13 +45,15 @@ type Options struct {
 	Adaptive *adapt.Config
 	// Trace, if non-nil, records every worker's slot lifecycle, queue events
 	// and controller decisions into a per-core ring ("worker N" tracks,
-	// registered in worker order so output is deterministic). Purely
-	// observational: simulated results are bit-identical with or without it.
+	// registered in worker order so output is deterministic). Each ring
+	// attaches to its worker's core after Prepare (memsim.Core.SetTrace).
+	// Purely observational: simulated results are bit-identical with or
+	// without it.
 	Trace *obs.Trace
-	// Metrics, if non-nil, samples per-worker gauges (queue depth, MSHR
-	// occupancy, AMAC width, sliding-window p99, stall fraction) every
-	// Metrics.Interval() simulated cycles via the core's cycle hook. Purely
-	// observational, like Trace.
+	// Metrics, if non-nil, samples per-worker gauges every
+	// Metrics.Interval() simulated cycles: queue depth and sliding-window
+	// p99, plus the core's own AMAC width, MSHR occupancy and stall
+	// fraction (memsim.Core.SetMetrics). Purely observational, like Trace.
 	Metrics *obs.Metrics
 	// Profile, if non-nil, attributes every worker's cycles ("worker N"
 	// cores, registered in worker order) to engine/stage/queue-wait contexts.

@@ -82,10 +82,10 @@ type QueueSource[S any] struct {
 
 	next int // next schedule index not yet admitted or dropped
 
-	// tr receives queue lifecycle events (admit, drop, block, depth); lat
-	// records completion latencies for the sliding-window p99 gauge. Both
-	// are nil-safe no-ops and purely observational.
-	tr  *obs.CoreTrace
+	// lat records completion latencies for the sliding-window p99 gauge.
+	// Queue lifecycle events (admit, drop, block, depth) go to the trace of
+	// the core pulling from the queue. Both are nil-safe no-ops and purely
+	// observational.
 	lat *obs.LatencyWindow
 
 	// Admitted request indices live in ring[head&mask .. tail&mask); head
@@ -183,10 +183,6 @@ func (q *QueueSource[S]) Close() {
 // Recorder returns the recorder accumulating this source's statistics.
 func (q *QueueSource[S]) Recorder() *Recorder { return q.rec }
 
-// SetTrace attaches a per-core trace sink: the queue emits admit, drop and
-// block instants and a depth counter on its track. Purely observational.
-func (q *QueueSource[S]) SetTrace(tr *obs.CoreTrace) { q.tr = tr }
-
 // SetLatencyWindow attaches a sliding window that records every completion's
 // admission-to-done latency — the backing store of a live p99 gauge. Purely
 // observational.
@@ -240,7 +236,7 @@ func (q *QueueSource[S]) idxAt(pos int32) int32 {
 
 // maybeObserveSLO feeds the queue-owned brownout controller (router-less
 // runs only) the sliding p99 once every 64 offered requests.
-func (q *QueueSource[S]) maybeObserveSLO(now uint64) {
+func (q *QueueSource[S]) maybeObserveSLO(c *memsim.Core, now uint64) {
 	if q.brown == nil || q.router != nil {
 		return
 	}
@@ -250,14 +246,14 @@ func (q *QueueSource[S]) maybeObserveSLO(now uint64) {
 	}
 	q.sloN = 0
 	if lvl, changed := q.brown.Observe(q.lat.Quantile(0.99)); changed {
-		q.tr.Brownout(now, lvl)
+		c.Trace().Brownout(now, lvl)
 	}
 }
 
 // timeoutEntry resolves a queued entry whose deadline expired before an
 // engine could pull it.
-func (q *QueueSource[S]) timeoutEntry(idx int32, arrival, now uint64) {
-	q.tr.QueueDrop(now, int(idx))
+func (q *QueueSource[S]) timeoutEntry(c *memsim.Core, idx int32, arrival, now uint64) {
+	c.Trace().QueueDrop(now, int(idx))
 	if q.router != nil {
 		q.router.onCopyDead(q.shard, idx, arrival, now, exec.FailDeadline)
 		return
@@ -327,6 +323,7 @@ func (q *QueueSource[S]) grow() {
 // full. Lazy processing is exact because the queue only drains at pulls —
 // occupancy cannot fall between two pulls.
 func (q *QueueSource[S]) admit(c *memsim.Core, now uint64) {
+	tr := c.Trace()
 	for q.next < len(q.arrivals) && q.arrivals[q.next] <= now {
 		// Front-door recovery checks, before any queueing: a request already
 		// resolved by a hedge is consumed silently, a browned-out class is
@@ -346,7 +343,7 @@ func (q *QueueSource[S]) admit(c *memsim.Core, now uint64) {
 					q.router.onShed(q.shard, idx)
 				}
 				q.next++
-				q.maybeObserveSLO(now)
+				q.maybeObserveSLO(c, now)
 				continue
 			}
 			if q.router != nil && q.router.redirect(q.shard, idx, q.arrivals[q.next]) {
@@ -360,7 +357,7 @@ func (q *QueueSource[S]) admit(c *memsim.Core, now uint64) {
 			if q.policy == Drop {
 				q.rec.Offered++
 				q.rec.recordDrop()
-				q.tr.QueueDrop(q.arrivals[q.next], q.next)
+				tr.QueueDrop(q.arrivals[q.next], q.next)
 				if q.router != nil {
 					q.router.onDrop(q.shard, q.idxAt(int32(q.next)))
 				}
@@ -368,7 +365,7 @@ func (q *QueueSource[S]) admit(c *memsim.Core, now uint64) {
 				continue
 			}
 			// Block: the request waits outside the queue; stop admitting.
-			q.tr.QueueBlock(now, q.depth())
+			tr.QueueBlock(now, q.depth())
 			return
 		}
 		if q.depth() == len(q.ring) {
@@ -376,14 +373,14 @@ func (q *QueueSource[S]) admit(c *memsim.Core, now uint64) {
 		}
 		c.Instr(costAdmit)
 		q.rec.Offered++
-		q.tr.QueueAdmit(q.arrivals[q.next], q.next)
+		tr.QueueAdmit(q.arrivals[q.next], q.next)
 		q.ring[q.tail&q.mask] = int32(q.next)
 		q.tail++
 		if q.router != nil {
 			q.router.onAdmit(q.shard, q.idxAt(int32(q.next)))
 		}
 		q.next++
-		q.maybeObserveSLO(now)
+		q.maybeObserveSLO(c, now)
 	}
 }
 
@@ -397,7 +394,7 @@ func (q *QueueSource[S]) ProvisionedStages() int { return q.m.ProvisionedStages(
 func (q *QueueSource[S]) Pull(c *memsim.Core, s *S, now uint64) exec.PullResult {
 	q.admit(c, now)
 	q.rec.sampleDepth(q.depth())
-	q.tr.QueueDepth(now, q.depth())
+	c.Trace().QueueDepth(now, q.depth())
 	for q.extraHead < len(q.extras) && q.extras[q.extraHead].ready <= now {
 		e := q.extras[q.extraHead]
 		q.extraHead++
@@ -406,7 +403,7 @@ func (q *QueueSource[S]) Pull(c *memsim.Core, s *S, now uint64) exec.PullResult 
 			continue
 		}
 		if q.deadline != 0 && now > e.arrival+q.deadline {
-			q.timeoutEntry(e.idx, e.arrival, now)
+			q.timeoutEntry(c, e.idx, e.arrival, now)
 			continue
 		}
 		req := exec.Request{Index: int(e.idx), Admit: e.arrival}
@@ -424,7 +421,7 @@ func (q *QueueSource[S]) Pull(c *memsim.Core, s *S, now uint64) exec.PullResult 
 			continue
 		}
 		if q.deadline != 0 && now > arrival+q.deadline {
-			q.timeoutEntry(idx, arrival, now)
+			q.timeoutEntry(c, idx, arrival, now)
 			continue
 		}
 		req := exec.Request{Index: int(idx), Admit: arrival}

@@ -38,7 +38,7 @@ func TestAdaptiveDecisionLogPublicAPI(t *testing.T) {
 
 	ctl := amac.NewAdaptiveController(amac.AdaptiveConfig{SegmentLookups: 256, ProbeLookups: 64})
 	trace := amac.NewTrace(0)
-	ctl.SetTrace(trace.Core("core 0"))
+	c.SetTrace(trace.Core("core 0"))
 
 	info := amac.RunAdaptive(c, join.ProbeMachine(out, false), ctl)
 

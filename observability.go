@@ -6,10 +6,12 @@ import "amac/internal/obs"
 // tracing (Chrome/Perfetto trace-event JSON) and gauge time series (JSON
 // Lines), both keyed on simulated cycles. A nil sink is the disabled state —
 // every recording method on a nil receiver is a single-branch no-op that
-// allocates nothing — so instrumented code threads the pointers
-// unconditionally, and simulated results are byte-identical with the sinks
-// on or off. Attach a Trace/Metrics through ServiceOptions, Options.Trace,
-// Pipeline.SetTrace, AdaptiveController.SetTrace or ExperimentConfig.
+// allocates nothing — so instrumented code calls them unconditionally, and
+// simulated results are byte-identical with the sinks on or off. The core is
+// the one instrumentation context: every engine, queue, pipeline and
+// adaptive controller records into the trace of the core it runs on. Attach
+// through Core.SetTrace and Core.SetMetrics, ServiceOptions or
+// ExperimentConfig.
 
 // Trace is the root event-trace sink: a registry of per-core ring-buffered
 // event sinks recording slot lifecycle, GP/SPP group boundaries, controller
@@ -23,7 +25,7 @@ type Trace = obs.Trace
 func NewTrace(perCoreEvents int) *Trace { return obs.NewTrace(perCoreEvents) }
 
 // CoreTrace is one core's event ring, handed out by Trace.Core and accepted
-// by Options.Trace and the SetTrace methods. All methods no-op on nil.
+// by Core.SetTrace. All methods no-op on nil.
 type CoreTrace = obs.CoreTrace
 
 // TraceEvent is one fixed-size trace record (simulated cycle, kind,
@@ -55,13 +57,15 @@ const (
 )
 
 // Metrics is the root metrics registry: named per-core gauges sampled every
-// Interval simulated cycles through the core's cycle hook and exported as
-// JSON Lines via WriteJSONL. nil disables sampling.
+// Interval simulated cycles once attached with Core.SetMetrics, and exported
+// as JSON Lines via WriteJSONL. nil disables sampling.
 type Metrics = obs.Metrics
 
 // NewMetrics creates a metrics registry sampling every interval simulated
 // cycles (zero selects the 4096-cycle default).
 func NewMetrics(interval int) *Metrics { return obs.NewMetrics(interval) }
 
-// CoreMetrics is one core's gauge collection, handed out by Metrics.Core.
+// CoreMetrics is one core's gauge collection, handed out by Metrics.Core and
+// accepted by Core.SetMetrics, which registers the core's width,
+// mshr_outstanding and stall_fraction gauges on it.
 type CoreMetrics = obs.CoreMetrics

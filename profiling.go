@@ -11,8 +11,9 @@ import "amac/internal/prof"
 // Stats.Cycles — conservation is an invariant, not an approximation. Like the
 // observability sinks, a nil profiler is the disabled state: every method on
 // a nil receiver is a single-branch no-op that allocates nothing, so
-// instrumented code threads the pointers unconditionally and a profiled run
-// is byte-identical to an unprofiled one. Attach through Core.SetProfiler,
+// instrumented code calls it unconditionally and a profiled run is
+// byte-identical to an unprofiled one. The profiler lives on the core next
+// to the trace and metrics. Attach through Core.SetProfiler,
 // ServiceOptions.Profile or ExperimentConfig.Profile; export with
 // WriteFolded (flamegraph.pl/speedscope) or WritePprof (go tool pprof).
 

@@ -17,7 +17,11 @@
 #
 # EXP must be one of the traceable experiments (serveN, adaptN, pipeN, obsN,
 # faultN); pipeN records a trace but no metrics, so the metrics pass is
-# skipped for it. Tracing never changes simulated results — the tables printed here are
+# skipped for it. The trace and metrics attach to the simulated cores of the
+# experiment's designated run (memsim.Core.SetTrace and SetMetrics), and
+# everything that runs on those cores records there: every technique's
+# engine, the serving queues, pipeline pipes and adaptive controllers.
+# Tracing never changes simulated results — the tables printed here are
 # byte-identical to an untraced run (TestObservabilityDifferential holds the
 # module to that).
 

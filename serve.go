@@ -112,28 +112,28 @@ func RunStream[S any](c *Core, src Source[S], opts Options) RunStats {
 
 // RunBaselineStream serves requests one at a time with no prefetching.
 func RunBaselineStream[S any](c *Core, src Source[S]) {
-	exec.BaselineStream(c, src, nil)
+	exec.BaselineStream(c, src)
 }
 
 // RunGroupPrefetchStream serves requests under Group Prefetching semantics:
 // new requests are admitted only at group boundaries, after the previous
 // group fully drained.
 func RunGroupPrefetchStream[S any](c *Core, src Source[S], group int) {
-	exec.GroupPrefetchStream(c, src, group, nil)
+	exec.GroupPrefetchStream(c, src, group)
 }
 
 // RunSoftwarePipelineStream serves requests under Software-Pipelined
 // Prefetching semantics: a pipeline slot refills only at its static refill
 // point, even when its lookup finished early.
 func RunSoftwarePipelineStream[S any](c *Core, src Source[S], inflight int) {
-	exec.SoftwarePipelineStream(c, src, inflight, nil)
+	exec.SoftwarePipelineStream(c, src, inflight)
 }
 
 // RunSourceWith drives the selected technique's engine over one source on
 // one core — the streaming counterpart of RunWith. AMAC returns its scheduler stats, honouring
 // Params.Controller; the other engines report only through the source.
 func RunSourceWith[S any](c *Core, src Source[S], tech Technique, p Params) RunStats {
-	return ops.RunSource(c, src, tech, p, nil)
+	return ops.RunSource(c, src, tech, p)
 }
 
 // ServiceWorker describes one worker of a sharded streaming service: its
