@@ -49,8 +49,8 @@ import (
 	"amac/internal/fault"
 	"amac/internal/obs"
 	"amac/internal/prof"
-	"amac/internal/profile"
 	"amac/internal/serve"
+	"amac/internal/table"
 )
 
 func main() {
@@ -229,7 +229,7 @@ func main() {
 			os.Exit(1)
 		}
 		if *jsonOut {
-			if err := profile.WriteJSONRows(os.Stdout, id, tables); err != nil {
+			if err := table.WriteJSONRows(os.Stdout, id, tables); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}

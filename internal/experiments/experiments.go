@@ -2,7 +2,7 @@
 // paper's evaluation (plus the motivation experiments of Section 2 and a set
 // of ablations suggested by Section 6) on top of the simulated memory
 // hierarchy. Each experiment is registered under the identifier used in
-// DESIGN.md and EXPERIMENTS.md and returns one or more profile.Tables whose
+// DESIGN.md and EXPERIMENTS.md and returns one or more table.Tables whose
 // rows and columns mirror the paper's artifact.
 package experiments
 
@@ -13,7 +13,7 @@ import (
 
 	"amac/internal/obs"
 	"amac/internal/prof"
-	"amac/internal/profile"
+	"amac/internal/table"
 )
 
 // Scale selects the dataset sizes. The paper uses 2^27-tuple relations
@@ -240,7 +240,7 @@ type Descriptor struct {
 	// Title summarises what the paper artifact shows.
 	Title string
 	// Run regenerates the artifact.
-	Run func(Config) []*profile.Table
+	Run func(Config) []*table.Table
 }
 
 // registry is populated by the experiment files' init order via Register.
@@ -266,7 +266,7 @@ func Find(id string) (Descriptor, bool) {
 }
 
 // Run executes the experiment with the given ID.
-func Run(id string, cfg Config) ([]*profile.Table, error) {
+func Run(id string, cfg Config) ([]*table.Table, error) {
 	d, ok := Find(id)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q", id)

@@ -5,7 +5,7 @@ import (
 
 	"amac/internal/adapt"
 	"amac/internal/memsim"
-	"amac/internal/profile"
+	"amac/internal/table"
 )
 
 func init() {
@@ -33,7 +33,7 @@ const obsTimelineCap = 32
 // log, so the experiment is equally useful untraced (including under
 // -exp all). The replay is a single serial cell; tracing and metrics observe
 // the identical run, so the table is byte-identical with or without them.
-func obsN(cfg Config) []*profile.Table {
+func obsN(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	machine := memsim.XeonX5670()
 	seed := cfg.seed()
@@ -63,7 +63,7 @@ func obsN(cfg Config) []*profile.Table {
 		rows[i] = fmt.Sprintf("%02d %s", i+1, obsDecisionLabel(d))
 	}
 	cols := []string{"kcycles", "width", "cpl"}
-	t := profile.New("obsN", "Adaptive controller decision timeline on the shift dim→big join (Xeon)", "", rows, cols)
+	t := table.New("obsN", "Adaptive controller decision timeline on the shift dim→big join (Xeon)", "", rows, cols)
 	for i, d := range shown {
 		t.Set(rows[i], "kcycles", float64(d.Cycle)/1000)
 		t.Set(rows[i], "width", float64(d.Width))
@@ -75,7 +75,7 @@ func obsN(cfg Config) []*profile.Table {
 	if len(decisions) > obsTimelineCap {
 		t.AddNote("timeline truncated: %d of %d decisions shown", obsTimelineCap, len(decisions))
 	}
-	return []*profile.Table{t}
+	return []*table.Table{t}
 }
 
 // obsDecisionLabel renders one decision-log entry as a timeline row label.

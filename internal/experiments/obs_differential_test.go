@@ -6,12 +6,12 @@ import (
 	"testing"
 
 	"amac/internal/obs"
-	"amac/internal/profile"
+	"amac/internal/table"
 )
 
 // renderRun executes an experiment and renders its tables exactly the way
 // cmd/amacbench does — text via Table.Render and JSON Lines via
-// profile.WriteJSONRows — so byte-comparing the two forms covers both output
+// table.WriteJSONRows — so byte-comparing the two forms covers both output
 // paths of the CLI.
 func renderRun(t *testing.T, id string, cfg Config) (text, jsonl string) {
 	t.Helper()
@@ -23,7 +23,7 @@ func renderRun(t *testing.T, id string, cfg Config) (text, jsonl string) {
 	for _, table := range tables {
 		table.Render(&tb)
 	}
-	if err := profile.WriteJSONRows(&jb, id, tables); err != nil {
+	if err := table.WriteJSONRows(&jb, id, tables); err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
 	return tb.String(), jb.String()

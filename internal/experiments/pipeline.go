@@ -11,9 +11,9 @@ import (
 	"amac/internal/memsim"
 	"amac/internal/ops"
 	"amac/internal/pipeline"
-	"amac/internal/profile"
 	"amac/internal/relation"
 	"amac/internal/serve"
+	"amac/internal/table"
 )
 
 func init() {
@@ -447,7 +447,7 @@ var pipeServeLoads = []float64{0.6, 0.9}
 // load sweep and reports end-to-end (arrival→sink) p99 latency per
 // assignment. All cells are independent and fan out over -parallel sweep
 // workers bit-identically.
-func pipeN(cfg Config) []*profile.Table {
+func pipeN(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	ps := pipeSizes{rows: sz.pipeRows, build: sz.pipeBuild, dim: sz.pipeDim, bst: sz.pipeBST, groups: sz.pipeGroups, sample: sz.pipeSample,
 		burst: cfg.Burst, pipeCap: cfg.PipeCap}
@@ -471,13 +471,13 @@ func pipeN(cfg Config) []*profile.Table {
 		rows[i] = p.name
 	}
 	cols := append(append([]string(nil), techColumns...), pipeBestCol, pipePlannerCol, adaptiveCol)
-	main := profile.New("pipeN", "Streaming pipelines: per-stage assignment versus plan cost (Xeon)", "cycles/row", rows, cols)
+	main := table.New("pipeN", "Streaming pipelines: per-stage assignment versus plan cost (Xeon)", "cycles/row", rows, cols)
 	main.AddNote("uniform columns assign one technique to every stage; %q is the best of all 4^stages per-stage assignments; the planner's per-stage choice comes from a %d-row cost-seeded sample", pipeBestCol, ps.sample)
 	main.AddNote("|S| = 2^%d root rows, build tables 2^%d, mixed-plan dimension table 2^%d keys (cache-resident), BST 2^%d keys, scale %q, seed %d",
 		log2(ps.rows), log2(ps.build), log2(ps.dim), log2(ps.bst), cfg.scale(), cfg.seed())
 
 	planCols := []string{"stages", "sample rows", "plan Mcycles", "planner ÷ best static", "best uniform ÷ planner"}
-	planTab := profile.New("pipeN-plan", "Mini-planner choice quality and cost per plan", "", rows, planCols)
+	planTab := table.New("pipeN-plan", "Mini-planner choice quality and cost per plan", "", rows, planCols)
 	planTab.AddNote("planner ÷ best static near 1.0 means the sampled choice matches the exhaustive sweep; best uniform ÷ planner above 1.0 means the planner beats every uniform assignment")
 
 	// Enumerate the sweep cells: every static combination, the planner's
@@ -554,7 +554,7 @@ func pipeN(cfg Config) []*profile.Table {
 	if ps.burst > 0 || ps.pipeCap > 0 {
 		main.AddNote("pump geometry overridden: -burst %d, -pipecap %d (zero = pipeline default)", ps.burst, ps.pipeCap)
 	}
-	tables := []*profile.Table{main, planTab}
+	tables := []*table.Table{main, planTab}
 	if st := pipeServeTable(cfg, machine, plans); st != nil {
 		tables = append(tables, st)
 	}
@@ -602,7 +602,7 @@ func (e *sweepEnv) planChoiceLabel(p pipePlan) string {
 // uniform-AMAC batch capacity, one run per static uniform assignment plus the
 // planner's, reporting end-to-end (arrival→sink completion) p99 latency. It
 // returns nil when a -plans filter excluded every served plan.
-func pipeServeTable(cfg Config, machine memsim.Config, plans []pipePlan) *profile.Table {
+func pipeServeTable(cfg Config, machine memsim.Config, plans []pipePlan) *table.Table {
 	var served pipePlan
 	for _, p := range plans {
 		if p.serving != nil {
@@ -629,7 +629,7 @@ func pipeServeTable(cfg Config, machine memsim.Config, plans []pipePlan) *profil
 		rows[i] = loadLabel(l)
 	}
 	cols := append(append([]string(nil), techColumns...), pipePlannerCol)
-	t := profile.New("pipeN-serve", "Served pipeline: end-to-end p99 latency per assignment (Xeon)", "kcycles", rows, cols)
+	t := table.New("pipeN-serve", "Served pipeline: end-to-end p99 latency per assignment (Xeon)", "kcycles", rows, cols)
 	t.AddNote("plan %q; rows: offered load as a fraction of uniform AMAC's batch capacity (%.4f req/cycle); %s arrivals, %s queue; latency spans admission through sink completion",
 		served.name, capacity, arrivalsName(cfg), policyLabel(policy, cfg.QueueCap))
 

@@ -8,9 +8,9 @@ import (
 	"amac/internal/obs"
 	"amac/internal/ops"
 	"amac/internal/prof"
-	"amac/internal/profile"
 	"amac/internal/relation"
 	"amac/internal/serve"
+	"amac/internal/table"
 )
 
 func init() {
@@ -88,7 +88,7 @@ func (ws *workloadSet) servingJoin(spec relation.JoinSpec, workers, runs int) *s
 // switches it to the drop policy, adding a drop-fraction table. The
 // (load, technique) cells are independent runs and fan out over -parallel
 // sweep workers.
-func serveN(cfg Config) []*profile.Table {
+func serveN(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	n := sz.joinLarge
 	machine := memsim.XeonX5670()
@@ -107,12 +107,12 @@ func serveN(cfg Config) []*profile.Table {
 	for i, l := range serveLoads {
 		rows[i] = loadLabel(l)
 	}
-	tput := profile.New("serveN", "Streaming service: achieved throughput versus offered load (Xeon)", "M req/s", rows, techColumns)
-	p50 := profile.New("serveN-p50", "Streaming service: median request latency versus offered load (Xeon)", "kcycles", rows, techColumns)
-	p99 := profile.New("serveN-p99", "Streaming service: p99 request latency versus offered load (Xeon)", "kcycles", rows, techColumns)
-	var drops *profile.Table
+	tput := table.New("serveN", "Streaming service: achieved throughput versus offered load (Xeon)", "M req/s", rows, techColumns)
+	p50 := table.New("serveN-p50", "Streaming service: median request latency versus offered load (Xeon)", "kcycles", rows, techColumns)
+	p99 := table.New("serveN-p99", "Streaming service: p99 request latency versus offered load (Xeon)", "kcycles", rows, techColumns)
+	var drops *table.Table
 	if policy == serve.Drop {
-		drops = profile.New("serveN-drops", "Streaming service: dropped request fraction versus offered load (Xeon)", "fraction", rows, techColumns)
+		drops = table.New("serveN-drops", "Streaming service: dropped request fraction versus offered load (Xeon)", "fraction", rows, techColumns)
 	}
 	tput.AddNote("rows: offered load as a fraction of AMAC's batch service capacity (%.3f req/cycle aggregate)", capacity)
 	tput.AddNote("|R| = |S| = 2^%d, Zipf(1.0) build keys, %d worker(s), %s arrivals, %s queue, scale %q",
@@ -157,7 +157,7 @@ func serveN(cfg Config) []*profile.Table {
 		}
 	}
 
-	out := []*profile.Table{tput, p50, p99}
+	out := []*table.Table{tput, p50, p99}
 	if drops != nil {
 		out = append(out, drops)
 	}

@@ -7,9 +7,9 @@ import (
 	"amac/internal/memsim"
 	"amac/internal/obs"
 	"amac/internal/ops"
-	"amac/internal/profile"
 	"amac/internal/relation"
 	"amac/internal/serve"
+	"amac/internal/table"
 )
 
 func init() {
@@ -111,7 +111,7 @@ type faultMode struct {
 // budgets; -workers sets the replica count (default 4, minimum 2 so every
 // shard has a sibling); -arrivals and -qcap behave as in serveN. Rows are
 // independent runs and fan out over -parallel sweep workers.
-func faultN(cfg Config) []*profile.Table {
+func faultN(cfg Config) []*table.Table {
 	sz := cfg.sizes()
 	n := sz.joinLarge
 	machine := memsim.XeonX5670()
@@ -183,9 +183,9 @@ func faultN(cfg Config) []*profile.Table {
 	for i, m := range modes {
 		rows[i] = m.name
 	}
-	lat := profile.New("faultN", "Fault injection: surviving-request latency by degradation mode (Xeon, AMAC)", "kcycles", rows, []string{"p50", "p95", "p99"})
-	outs := profile.New("faultN-outcomes", "Fault injection: request outcome fractions by degradation mode", "fraction", rows, []string{"served", "timed-out", "failed", "shed", "dropped"})
-	recov := profile.New("faultN-recovery", "Fault injection: recovery-path activity by degradation mode", "count", rows, []string{"retried", "hedged", "hedge-wins", "rerouted", "breaker-trips"})
+	lat := table.New("faultN", "Fault injection: surviving-request latency by degradation mode (Xeon, AMAC)", "kcycles", rows, []string{"p50", "p95", "p99"})
+	outs := table.New("faultN-outcomes", "Fault injection: request outcome fractions by degradation mode", "fraction", rows, []string{"served", "timed-out", "failed", "shed", "dropped"})
+	recov := table.New("faultN-recovery", "Fault injection: recovery-path activity by degradation mode", "count", rows, []string{"retried", "hedged", "hedge-wins", "rerouted", "breaker-trips"})
 	lat.AddNote("faults: %s (horizon %d cycles)", sched, horizon)
 	lat.AddNote("|R| = |S| = 2^%d, Zipf(1.0) build keys, %d full replicas, %s arrivals, %s queue, %d%% of capacity (%.4f req/cycle/core), scale %q",
 		log2(n), workers, arrivalsName(cfg), policyLabel(policy, cfg.QueueCap), int(faultLoad*100), perCore, cfg.scale())
@@ -241,7 +241,7 @@ func faultN(cfg Config) []*profile.Table {
 		}
 		recov.Set(row, "breaker-trips", float64(trips))
 	}
-	return []*profile.Table{lat, outs, recov}
+	return []*table.Table{lat, outs, recov}
 }
 
 // faultSchedule resolves the chaos schedule: the -faults spec when given,
