@@ -46,11 +46,9 @@ func obsN(cfg Config) []*table.Table {
 	c := adaptCore(machine, ex)
 	ctl := adapt.NewController(adaptConfig(sz))
 
-	// Attach the observability sinks to the replay core.
 	c.SetTrace(cfg.Trace.Core("adaptive core"))
 	c.SetMetrics(cfg.Metrics.Core("adaptive core"))
 	ex.adaptive(c, ctl)
-	c.SetMetrics(nil)
 	cycles := c.Cycle()
 
 	decisions := ctl.Decisions()
