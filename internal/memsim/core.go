@@ -75,8 +75,9 @@ type Core struct {
 	// Cycle hook (setCycleHook, installed by SetMetrics): hookFn fires once
 	// per hookStep simulated cycles from every clock-advancing path.
 	// hookNext is ^uint64(0) when no hook is installed, so the fast paths
-	// pay one always-false compare and never a call. The hook observes (metrics sampling); it must not touch
-	// the core, so installing one cannot change simulated results.
+	// pay one always-false compare and never a call. The hook observes
+	// (metrics sampling); it must not touch the core, so installing one
+	// cannot change simulated results.
 	hookFn   func(cycle uint64)
 	hookStep uint64
 	hookNext uint64
@@ -164,7 +165,7 @@ func (c *Core) Profiler() *prof.CoreProf { return c.prof }
 // attaching one never changes simulated results.
 func (c *Core) SetTrace(t *obs.CoreTrace) { c.trace = t }
 
-// Trace returns the attached event ring, nil when disabled. Callers load it
+// Trace returns the attached event ring, nil when disabled. Engines load it
 // into a local once per run, as they load Profiler; every recording method
 // is a nil-safe no-op.
 func (c *Core) Trace() *obs.CoreTrace { return c.trace }
@@ -200,8 +201,8 @@ func (c *Core) SetMetrics(cm *obs.CoreMetrics) {
 	c.setCycleHook(cm.Interval(), cm.Tick)
 }
 
-// detach removes every observer — trace, metrics hook and profiler — so a
-// recycled core never carries a previous run's sinks.
+// detach removes every observer — trace, metrics hook and profiler — and the
+// recorded width, so a recycled core never carries a previous run's sinks.
 func (c *Core) detach() {
 	c.setCycleHook(0, nil)
 	c.prof = nil
