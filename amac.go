@@ -41,27 +41,10 @@ func MergeRunStats(perWorker []RunStats) RunStats { return core.MergeRunStats(pe
 const DefaultWidth = core.DefaultWidth
 
 // Run executes every lookup of machine m on core c using Asynchronous
-// Memory Access Chaining — the paper's contribution.
+// Memory Access Chaining — the paper's contribution — with the scheduler's
+// full Options. RunWith runs any of the four techniques.
 func Run[S any](c *Core, m Machine[S], opts Options) RunStats {
 	return core.Run(c, m, opts)
-}
-
-// RunBaseline executes the machine one lookup at a time with no prefetching.
-func RunBaseline[S any](c *Core, m Machine[S]) {
-	ops.RunMachine(c, m, ops.Baseline, ops.Params{})
-}
-
-// RunGroupPrefetch executes the machine under Group Prefetching with the
-// given group size (values below 1 run groups of one).
-func RunGroupPrefetch[S any](c *Core, m Machine[S], group int) {
-	ops.RunMachine(c, m, ops.GP, ops.Params{Window: max(group, 1)})
-}
-
-// RunSoftwarePipeline executes the machine under Software-Pipelined
-// Prefetching with the given number of in-flight lookups (values below 1
-// run one).
-func RunSoftwarePipeline[S any](c *Core, m Machine[S], inflight int) {
-	ops.RunMachine(c, m, ops.SPP, ops.Params{Window: max(inflight, 1)})
 }
 
 // Technique selects one of the four execution schemes when using RunWith.
@@ -82,13 +65,15 @@ var Techniques = ops.Techniques
 // Technique.
 func ParseTechnique(s string) (Technique, error) { return ops.ParseTechnique(s) }
 
-// Params carries the per-technique tuning knob (the number of in-flight
-// lookups) used by RunWith.
+// Params carries RunWith's and RunSourceWith's per-technique knob: the
+// number of in-flight lookups (GP's group size, SPP's pipeline depth, AMAC's
+// slots; zero = DefaultWidth), plus AMAC's optional width controller.
 type Params = ops.Params
 
 // RunWith executes the machine with the selected technique, which is how the
 // experiment harness and the examples compare the four schemes on identical
-// operator code.
+// operator code. It is the one batch entry for every technique; Run is AMAC
+// with the scheduler's full Options.
 func RunWith[S any](c *Core, m Machine[S], tech Technique, p Params) {
 	ops.RunMachine(c, m, tech, p)
 }

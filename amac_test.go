@@ -35,8 +35,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDirectEngineEntryPoints drives each engine through its dedicated
-// function rather than RunWith.
+// TestDirectEngineEntryPoints drives each technique through both entry
+// points, RunWith over the machine and RunSourceWith over its
+// MachineSource, at an explicit window: a batch is the stream that admits
+// every lookup at cycle 0, so both charge identical cycles. AMAC through Run
+// with the same width matches them too.
 func TestDirectEngineEntryPoints(t *testing.T) {
 	build, probe, err := amac.BuildIndexWorkload(1<<9, 3)
 	if err != nil {
@@ -44,10 +47,13 @@ func TestDirectEngineEntryPoints(t *testing.T) {
 	}
 	w := amac.NewBSTWorkload(build, probe)
 
+	// One output for every run, so each writes its results to the same
+	// simulated addresses.
+	out := amac.NewOutput(w.Arena, false)
 	run := func(f func(c *amac.Core, m *amac.BSTSearchMachine)) uint64 {
 		sys := amac.MustSystem(amac.XeonX5670())
 		c := sys.NewCore()
-		out := amac.NewOutput(w.Arena, false)
+		out.Reset()
 		f(c, w.SearchMachine(out))
 		if int(out.Count) != probe.Len() {
 			t.Fatalf("search found %d of %d keys", out.Count, probe.Len())
@@ -55,19 +61,24 @@ func TestDirectEngineEntryPoints(t *testing.T) {
 		return c.Cycle()
 	}
 
-	base := run(func(c *amac.Core, m *amac.BSTSearchMachine) { amac.RunBaseline(c, m) })
-	gp := run(func(c *amac.Core, m *amac.BSTSearchMachine) { amac.RunGroupPrefetch(c, m, 10) })
-	spp := run(func(c *amac.Core, m *amac.BSTSearchMachine) { amac.RunSoftwarePipeline(c, m, 10) })
+	p := amac.Params{Window: 10}
+	for _, tech := range amac.Techniques {
+		batch := run(func(c *amac.Core, m *amac.BSTSearchMachine) { amac.RunWith(c, m, tech, p) })
+		stream := run(func(c *amac.Core, m *amac.BSTSearchMachine) {
+			amac.RunSourceWith(c, amac.NewMachineSource[amac.BSTState](m), tech, p)
+		})
+		if batch == 0 || batch != stream {
+			t.Fatalf("%s: RunWith charged %d cycles, RunSourceWith %d", tech, batch, stream)
+		}
+	}
+
 	var stats amac.RunStats
 	am := run(func(c *amac.Core, m *amac.BSTSearchMachine) { stats = amac.Run(c, m, amac.Options{Width: 10}) })
-
 	if stats.Completed != probe.Len() {
 		t.Fatalf("AMAC completed %d of %d", stats.Completed, probe.Len())
 	}
-	for name, cycles := range map[string]uint64{"baseline": base, "GP": gp, "SPP": spp, "AMAC": am} {
-		if cycles == 0 {
-			t.Fatalf("%s consumed no cycles", name)
-		}
+	if with := run(func(c *amac.Core, m *amac.BSTSearchMachine) { amac.RunWith(c, m, amac.AMAC, p) }); am != with {
+		t.Fatalf("Run charged %d cycles, RunWith(AMAC) %d", am, with)
 	}
 }
 

@@ -167,16 +167,19 @@ func benchmarkServe(b *testing.B, tech amac.Technique, arrivals []uint64, qcap i
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
 		out.Reset()
-		res := amac.RunService(amac.ServiceOptions{
+		res, err := amac.RunService(amac.FaultyServiceOptions{Options: amac.ServiceOptions{
 			Hardware:  amac.XeonX5670(),
 			Technique: tech,
 			Window:    10,
 			QueueCap:  qcap,
 			Policy:    policy,
-		}, []amac.ServiceWorker[amac.ProbeState]{{
+		}}, []amac.ServiceWorker[amac.ProbeState]{{
 			Machine:  join.ProbeMachine(out, true),
 			Arrivals: arrivals,
 		}})
+		if err != nil {
+			b.Fatal(err)
+		}
 		cycles = res.ElapsedCycles()
 	}
 	b.ReportMetric(float64(cycles), "simcycles/run")
@@ -244,10 +247,13 @@ func benchmarkServeObs(b *testing.B, traced bool) {
 			opts.Metrics = amac.NewMetrics(0)
 		}
 		out.Reset()
-		res := amac.RunService(opts, []amac.ServiceWorker[amac.ProbeState]{{
+		res, err := amac.RunService(amac.FaultyServiceOptions{Options: opts}, []amac.ServiceWorker[amac.ProbeState]{{
 			Machine:  join.ProbeMachine(out, true),
 			Arrivals: arrivals,
 		}})
+		if err != nil {
+			b.Fatal(err)
+		}
 		cycles = res.ElapsedCycles()
 	}
 	b.ReportMetric(float64(cycles), "simcycles/run")

@@ -274,10 +274,12 @@ func servingBenchmarks(out *benchFile) error {
 	srvOut := amac.NewOutput(join.Arena, false)
 	arrivals := amac.Poisson{MeanPeriod: srvBenchPeriod}.Schedule(srvBenchSize, 7)
 	backlog := make([]uint64, srvBenchSize) // everything due at cycle 0
+	// runErr keeps the first RunService error; that run counts zero cycles.
+	var runErr error
 
 	serveOnce := func(tech amac.Technique, arr []uint64) uint64 {
 		srvOut.Reset()
-		res := amac.RunService(amac.ServiceOptions{
+		res := runService(&runErr, amac.ServiceOptions{
 			Hardware:  amac.XeonX5670(),
 			Technique: tech,
 			Window:    10,
@@ -312,7 +314,7 @@ func servingBenchmarks(out *benchFile) error {
 		tech := tech
 		var machOut uint64
 		out.Benchmarks = append(out.Benchmarks, measure("serve-machinery/"+tech.String(), func() uint64 {
-			res := amac.RunService(amac.ServiceOptions{
+			res := runService(&runErr, amac.ServiceOptions{
 				Hardware:  amac.XeonX5670(),
 				Technique: tech,
 				Window:    10,
@@ -323,7 +325,7 @@ func servingBenchmarks(out *benchFile) error {
 			machOut = res.Latency.Completed
 			return res.ElapsedCycles()
 		}))
-		if machOut != uint64(mach.n) {
+		if runErr == nil && machOut != uint64(mach.n) {
 			return fmt.Errorf("serve-machinery/%s: completed %d of %d requests", tech, machOut, mach.n)
 		}
 	}
@@ -338,7 +340,7 @@ func servingBenchmarks(out *benchFile) error {
 	}))
 	out.Benchmarks = append(out.Benchmarks, measure("serve-obs/on", func() uint64 {
 		srvOut.Reset()
-		res := amac.RunService(amac.ServiceOptions{
+		res := runService(&runErr, amac.ServiceOptions{
 			Hardware:  amac.XeonX5670(),
 			Technique: amac.AMAC,
 			Window:    10,
@@ -356,7 +358,7 @@ func servingBenchmarks(out *benchFile) error {
 	bursty := amac.Bursty{Period: 60, BurstLen: 128, Off: 24000}.Schedule(srvBenchSize, 11)
 	out.Benchmarks = append(out.Benchmarks, measure("serve-drop/AMAC", func() uint64 {
 		srvOut.Reset()
-		res := amac.RunService(amac.ServiceOptions{
+		res := runService(&runErr, amac.ServiceOptions{
 			Hardware:  amac.XeonX5670(),
 			Technique: amac.AMAC,
 			Window:    10,
@@ -368,5 +370,16 @@ func servingBenchmarks(out *benchFile) error {
 		}})
 		return res.ElapsedCycles()
 	}))
-	return nil
+	return runErr
+}
+
+// runService runs one serving benchmark through amac.RunService, keeping
+// the first error in *errp for servingBenchmarks to return: measure's
+// closures report cycles only.
+func runService[S any](errp *error, opts amac.ServiceOptions, workers []amac.ServiceWorker[S]) amac.ServiceResult {
+	res, err := amac.RunService(amac.FaultyServiceOptions{Options: opts}, workers)
+	if *errp == nil {
+		*errp = err
+	}
+	return res
 }

@@ -18,14 +18,17 @@
 // DESIGN.md for the substitution argument. The library exposes four layers:
 //
 //   - the simulated hardware (System, Core, XeonX5670, SPARCT4),
-//   - the execution engines (Baseline, GP, SPP, and the AMAC scheduler Run),
-//     which schedule user-defined stage Machines,
+//   - the execution engines (Baseline, GP, SPP and AMAC), which schedule
+//     user-defined stage Machines: RunWith runs any technique, Run is AMAC
+//     with the scheduler's full Options,
 //   - the paper's operators and workloads (hash join, group-by, BST search,
 //     skip list search/insert) ready to run under any engine,
 //   - the streaming request-serving layer (arrival processes, QueueSource,
-//     RunStream and the per-technique stream engines, RunService), which
-//     serves the same operators under open-loop load and accounts
-//     per-request latency,
+//     RunSourceWith and RunStream, RunService), which serves the same
+//     operators under open-loop load and accounts per-request latency;
+//     RunService also injects deterministic faults (ParseFaults) and
+//     applies the recovery policies, and returns an error for options it
+//     cannot honour,
 //   - the adaptive execution subsystem (AdaptiveController, RunAdaptive,
 //     RunStreamAdaptive, WidthAIMD), which picks the technique per phase
 //     online and resizes the AMAC slot window mid-run from per-window

@@ -108,7 +108,7 @@ func main() {
 		return m.sums
 	}
 
-	base := run("baseline (no prefetch)", func(c *amac.Core, m *sumMachine) { amac.RunBaseline(c, m) })
+	base := run("baseline (no prefetch)", func(c *amac.Core, m *sumMachine) { amac.RunWith(c, m, amac.Baseline, amac.Params{}) })
 	chained := run("AMAC (10 in flight)", func(c *amac.Core, m *sumMachine) {
 		amac.Run(c, m, amac.Options{Width: 10})
 	})

@@ -103,11 +103,15 @@ func serveOnce(hw amac.Hardware, pj *amac.PartitionedHashJoin, tech amac.Techniq
 			Arrivals: amac.Poisson{MeanPeriod: period}.Schedule(nw, uint64(i)+7),
 		}
 	}
-	res := amac.RunService(amac.ServiceOptions{
+	res, err := amac.RunService(amac.FaultyServiceOptions{Options: amac.ServiceOptions{
 		Hardware:  hw,
 		Technique: tech,
 		Window:    10,
-	}, specs)
+	}}, specs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	var count, checksum uint64
 	for _, out := range outs {
 		count += out.Count

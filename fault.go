@@ -1,8 +1,6 @@
 package amac
 
 import (
-	"runtime"
-
 	"amac/internal/fault"
 	"amac/internal/serve"
 )
@@ -13,7 +11,8 @@ import (
 // per-request deadlines, and the recovery policies — capped-backoff retry,
 // hedged re-dispatch, per-shard circuit breakers and an SLO-aware brownout
 // — that keep a degraded service's surviving tail bounded (see the faultN
-// experiment).
+// experiment). RunService applies them through FaultyServiceOptions;
+// ParseFaults reads the -faults spec grammar.
 
 // FaultKind discriminates fault episodes (slow, freeze, crash, spike).
 type FaultKind = fault.Kind
@@ -37,16 +36,12 @@ type FaultSchedule = fault.Schedule
 // ParseFaults parses a chaos-schedule spec: either a comma-separated
 // episode list ("slow:0@20000+40000x4,crash:1@90000+30000", tokens
 // kind:shard@start+dur[xfactor]) or a seeded random request
-// ("rand:SEED[:N]") that RunFaultyService materializes once the shard count
-// and horizon are known.
+// ("rand:SEED[:N]", N up to 4096, default 4). The spec's Resolve
+// materializes it once the shard count and horizon are known: a random
+// request draws up to N non-overlapping episodes, deterministic for a fixed
+// seed, and a fixed list is validated against the shard count.
 func ParseFaults(spec string) (fault.Spec, error) {
 	return fault.ParseSpec(spec)
-}
-
-// RandomFaults draws a seeded random schedule of n episodes across the
-// given shards and horizon — deterministic for a fixed seed.
-func RandomFaults(seed uint64, n, shards int, horizon uint64) *FaultSchedule {
-	return fault.Random(seed, n, shards, horizon)
 }
 
 // RetryPolicy is capped exponential backoff for requests whose last live
@@ -70,41 +65,13 @@ type BreakerTransition = fault.Transition
 // request classes load is shed by when the budget is exceeded.
 type SLO = fault.SLO
 
-// FaultyServiceOptions configures a fault-injected service run: the plain
+// FaultyServiceOptions configures a RunService run: the plain
 // ServiceOptions (whose SLO drives the brownout) plus a chaos schedule,
 // per-request deadlines and the recovery policies layered on top of the
-// shards.
+// shards. A zero fault block injects no faults and applies no policy.
 type FaultyServiceOptions = serve.FaultyOptions
 
 // FaultInfo summarises a run's fault activity (episodes applied, deepest
 // brownout shed level, breaker transitions); ServiceResult.Faults and
 // PerWorker[w].Faults carry it for every service run.
 type FaultInfo = serve.FaultInfo
-
-// RunFaultyService executes a sharded streaming service under deterministic
-// fault injection: the same share-nothing per-worker simulations as
-// RunService, stepped by one coordinator to common round edges of the
-// simulated clock so the chaos timeline, deadlines, hedging, breakers and
-// brownout apply at identical simulated instants on every execution.
-// RunService is this coordinator with no faults and no policies.
-//
-// It returns an error, and runs nothing, for options the coordinator cannot
-// honour: fault episodes, a deadline or a recovery policy on a technique
-// other than AMAC or with adaptive control, a recovery policy without a
-// Sched map, a Sched map that does not cover every worker's requests, or a
-// fault schedule that does not fit the workers.
-func RunFaultyService[S any](opts FaultyServiceOptions, workers []ServiceWorker[S]) (res ServiceResult, err error) {
-	// serve.RunFaulty rejects bad options by panicking with an error before
-	// it starts any work; its invariant checks panic with strings, and those
-	// propagate.
-	defer func() {
-		if v := recover(); v != nil {
-			e, ok := v.(error)
-			if _, rt := v.(runtime.Error); !ok || rt {
-				panic(v)
-			}
-			err = e
-		}
-	}()
-	return serve.RunFaulty(opts, workers), nil
-}

@@ -1,6 +1,7 @@
 package amac_test
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -33,9 +34,9 @@ func faultServiceWorkers(t *testing.T) ([]amac.ServiceWorker[amac.ProbeState], i
 }
 
 // TestFaultPublicAPIZeroConfigMatchesRunService checks the exported
-// RunFaultyService with no faults and no policies reproduces RunService
-// bit-identically — the invariant that makes fault runs trustworthy as
-// perturbations of a known-good baseline.
+// RunService with a zero fault block reproduces the plain serving
+// coordinator (serve.Run) bit-identically — the invariant that makes fault
+// runs trustworthy as perturbations of a known-good baseline.
 func TestFaultPublicAPIZeroConfigMatchesRunService(t *testing.T) {
 	opts := amac.ServiceOptions{
 		Hardware:  amac.XeonX5670(),
@@ -43,10 +44,10 @@ func TestFaultPublicAPIZeroConfigMatchesRunService(t *testing.T) {
 		Window:    8,
 	}
 	specs, n := faultServiceWorkers(t)
-	clean := amac.RunService(opts, specs)
+	clean := serve.Run(opts, specs)
 
 	specs, _ = faultServiceWorkers(t)
-	faulty, err := amac.RunFaultyService(amac.FaultyServiceOptions{Options: opts}, specs)
+	faulty, err := amac.RunService(amac.FaultyServiceOptions{Options: opts}, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +91,13 @@ func TestFaultPublicAPIParseAndInject(t *testing.T) {
 		Window:    8,
 	}
 	specs, n := faultServiceWorkers(t)
-	clean := amac.RunService(opts, specs)
+	clean, err := amac.RunService(amac.FaultyServiceOptions{Options: opts}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	specs, _ = faultServiceWorkers(t)
-	faulty, err := amac.RunFaultyService(amac.FaultyServiceOptions{
+	faulty, err := amac.RunService(amac.FaultyServiceOptions{
 		Options: opts,
 		Faults:  spec.Sched,
 	}, specs)
@@ -121,21 +125,36 @@ func TestFaultPublicAPIParseAndInject(t *testing.T) {
 	if _, err := amac.ParseFaults("slow:0@bogus"); err == nil {
 		t.Fatal("malformed spec accepted")
 	}
-	// Random drops draws that would overlap an earlier episode on the same
-	// shard, so n is a cap, not an exact count.
-	sched := amac.RandomFaults(7, 3, 2, 1_000_000)
-	if sched == nil || sched.Empty() || len(sched.Episodes) > 3 {
-		t.Fatalf("RandomFaults returned %v", sched)
+	// A random spec drops draws that would overlap an earlier episode on the
+	// same shard, so N is a cap, not an exact count.
+	rnd, err := amac.ParseFaults("rand:7:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := rnd.Resolve(2, 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sched.Empty() || len(sched.Episodes) > 3 {
+		t.Fatalf("rand:7:3 resolved to %v", sched)
 	}
 	if err := sched.Validate(2); err != nil {
 		t.Fatalf("random schedule invalid: %v", err)
 	}
 }
 
-// TestFaultPublicAPIRejectsInvalidOptions checks every option combination
-// the coordinator cannot honour: RunFaultyService returns an error and never
-// panics, and the internal serve.RunFaulty panics with that same error.
-func TestFaultPublicAPIRejectsInvalidOptions(t *testing.T) {
+// invalidOptions is a service option set the coordinator cannot honour for
+// faultServiceWorkers' two workers, with a fragment of the error it must
+// produce.
+type invalidOptions struct {
+	name string
+	opts amac.FaultyServiceOptions
+	want string
+}
+
+// invalidServiceOptions lists the fault, deadline and routing options the
+// coordinator cannot honour.
+func invalidServiceOptions() []invalidOptions {
 	slow := &amac.FaultSchedule{Episodes: []amac.FaultEpisode{
 		{Kind: amac.FaultSlow, Shard: 0, Start: 1000, Dur: 1000, Factor: 2},
 	}}
@@ -144,11 +163,7 @@ func TestFaultPublicAPIRejectsInvalidOptions(t *testing.T) {
 	with := func(tech amac.Technique) amac.ServiceOptions { o := base; o.Technique = tech; return o }
 	adaptive := base
 	adaptive.Adaptive = &amac.AdaptiveConfig{}
-	cases := []struct {
-		name string
-		opts amac.FaultyServiceOptions
-		want string
-	}{
+	return []invalidOptions{
 		{"gp-faults", amac.FaultyServiceOptions{Options: with(amac.GP), Faults: slow}, "need the AMAC engine"},
 		{"spp-deadline", amac.FaultyServiceOptions{Options: with(amac.SPP), Deadline: 5000}, "need the AMAC engine"},
 		{"baseline-retry", amac.FaultyServiceOptions{Options: with(amac.Baseline),
@@ -166,10 +181,16 @@ func TestFaultPublicAPIRejectsInvalidOptions(t *testing.T) {
 		{"fault-shard", amac.FaultyServiceOptions{Options: base, Faults: &amac.FaultSchedule{
 			Episodes: []amac.FaultEpisode{{Kind: amac.FaultFreeze, Shard: 2, Start: 10, Dur: 10}}}}, "names shard 2 of 2"},
 	}
-	for _, tc := range cases {
+}
+
+// TestFaultPublicAPIRejectsInvalidOptions checks every option combination
+// the coordinator cannot honour: RunService returns an error and never
+// panics, and the internal serve.RunFaulty panics with that same error.
+func TestFaultPublicAPIRejectsInvalidOptions(t *testing.T) {
+	for _, tc := range invalidServiceOptions() {
 		t.Run(tc.name, func(t *testing.T) {
 			specs, _ := faultServiceWorkers(t)
-			_, err := amac.RunFaultyService(tc.opts, specs)
+			_, err := amac.RunService(tc.opts, specs)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %v, want one containing %q", err, tc.want)
 			}
@@ -180,6 +201,94 @@ func TestFaultPublicAPIRejectsInvalidOptions(t *testing.T) {
 				}
 			}()
 			serve.RunFaulty(tc.opts, specs)
+		})
+	}
+}
+
+// TestPublicAPIRejectsBadInput feeds every public entry that takes options
+// from outside — RunService, ParseFaults and its spec's Resolve,
+// FaultSchedule.Validate and ParseArrivals — inputs it cannot honour. Each
+// must return an error, and none may panic.
+func TestPublicAPIRejectsBadInput(t *testing.T) {
+	valid := amac.ServiceOptions{Hardware: amac.XeonX5670(), Technique: amac.AMAC, Window: 8}
+	service := func(opts amac.ServiceOptions, edit func([]amac.ServiceWorker[amac.ProbeState])) func() error {
+		return func() error {
+			specs, _ := faultServiceWorkers(t)
+			if edit != nil {
+				edit(specs)
+			}
+			_, err := amac.RunService(amac.FaultyServiceOptions{Options: opts}, specs)
+			return err
+		}
+	}
+	unknown := valid
+	unknown.Technique = amac.Technique(9)
+	zeroHW := valid
+	zeroHW.Hardware = amac.Hardware{}
+	parse := func(spec string) func() error {
+		return func() error { _, err := amac.ParseFaults(spec); return err }
+	}
+	resolve := func(spec string, shards int, horizon uint64) func() error {
+		return func() error {
+			sp, err := amac.ParseFaults(spec)
+			if err != nil {
+				t.Fatalf("ParseFaults(%q): %v", spec, err)
+			}
+			_, err = sp.Resolve(shards, horizon)
+			return err
+		}
+	}
+	validate := func(ep amac.FaultEpisode) func() error {
+		return func() error { return (&amac.FaultSchedule{Episodes: []amac.FaultEpisode{ep}}).Validate(2) }
+	}
+	arrivals := func(name string, period float64) func() error {
+		return func() error { _, err := amac.ParseArrivals(name, period); return err }
+	}
+	type badInput struct {
+		name string
+		run  func() error
+	}
+	cases := []badInput{
+		{"service/unknown-technique", service(unknown, nil)},
+		{"service/zero-hardware", service(zeroHW, nil)},
+		{"service/nil-machine", service(valid, func(w []amac.ServiceWorker[amac.ProbeState]) { w[1].Machine = nil })},
+		{"service/decreasing-arrivals", service(valid, func(w []amac.ServiceWorker[amac.ProbeState]) {
+			a := w[0].Arrivals
+			a[2], a[3] = a[3], a[2]
+		})},
+		{"faults/nan-factor", parse("slow:0@1000+50000xNaN")},
+		{"faults/inf-factor", parse("spike:1@1000+50000xInf")},
+		{"faults/k-overflow", parse("freeze:0@20000000000000000k+5")},
+		{"faults/M-overflow", parse("freeze:0@5+20000000000000M")},
+		{"faults/end-overflow", parse("crash:0@18446744073709551615+10")},
+		{"faults/no-shards", resolve("rand:7", 0, 1_000_000)},
+		{"faults/fixed-no-shards", resolve("crash:0@100+10", 0, 1_000_000)},
+		{"faults/tiny-horizon", resolve("rand:7", 2, 7)},
+		{"schedule/nan-factor", validate(amac.FaultEpisode{Kind: amac.FaultSlow, Start: 10, Dur: 10, Factor: math.NaN()})},
+		{"schedule/inf-factor", validate(amac.FaultEpisode{Kind: amac.FaultSpike, Start: 10, Dur: 10, Factor: math.Inf(1)})},
+		{"schedule/end-overflow", validate(amac.FaultEpisode{Kind: amac.FaultCrash, Start: math.MaxUint64, Dur: 10})},
+		{"arrivals/deterministic-inf", arrivals("deterministic", math.Inf(1))},
+		{"arrivals/poisson-nan", arrivals("poisson", math.NaN())},
+		{"arrivals/bursty-neg-inf", arrivals("bursty", math.Inf(-1))},
+	}
+	for _, tc := range invalidServiceOptions() {
+		opts := tc.opts
+		cases = append(cases, badInput{"service/" + tc.name, func() error {
+			specs, _ := faultServiceWorkers(t)
+			_, err := amac.RunService(opts, specs)
+			return err
+		}})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if v := recover(); v != nil {
+					t.Fatalf("panicked: %v", v)
+				}
+			}()
+			if err := tc.run(); err == nil {
+				t.Fatal("no error")
+			}
 		})
 	}
 }

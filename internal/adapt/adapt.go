@@ -203,9 +203,9 @@ type Controller struct {
 	refCPL     float64
 	info       Info
 
-	// now is the controller's timebase: the driving core's cycle count as of
-	// the last segment or lease boundary, stamped onto decision-log entries.
-	now uint64
+	// core is the core the controller runs on (bind): every decision-log
+	// entry is stamped with its cycle count at the moment of the decision.
+	core *memsim.Core
 
 	// tailBias, when set, reports whether the serving layer wants tail-safe
 	// execution (its SLO brownout is shedding load); tailActive remembers the
@@ -286,13 +286,17 @@ func (ctl *Controller) amacParams() ops.Params {
 // amacOptions is amacParams as engine options.
 func (ctl *Controller) amacOptions() core.Options { return ctl.amacParams().AMACOptions() }
 
-// bind loads the trace sink of core c, the core the controller is about to
-// run on, into its width controller: technique decisions and AMAC width
-// moves are mirrored into it as instant events on the controller track.
-// Run, RunStream and NewStreamTuner bind at entry, before the first
-// decision. Purely observational — a trace changes no decision. The sink
-// survives recalibration (it moves to the fresh width controller).
-func (ctl *Controller) bind(c *memsim.Core) { ctl.width.trace = c.Trace() }
+// bind attaches the controller to core c, the core it is about to run on:
+// decisions are stamped with c's cycle count, and c's trace sink is loaded
+// into the width controller, so technique decisions and AMAC width moves
+// are mirrored into it as instant events on the controller track. Run,
+// RunStream and NewStreamTuner bind at entry, before the first decision.
+// Purely observational — neither changes a decision. The sink survives
+// recalibration (it moves to the fresh width controller).
+func (ctl *Controller) bind(c *memsim.Core) {
+	ctl.core = c
+	ctl.width.trace = c.Trace()
+}
 
 // account tallies one executed segment.
 func (ctl *Controller) account(tech ops.Technique, lookups int, sched core.RunStats) {
@@ -469,7 +473,6 @@ func Run[S any](c *memsim.Core, m exec.Machine[S], ctl *Controller) Info {
 			opts.Controller = dw
 			sched := core.Run(c, seg, opts)
 			ctl.account(ops.AMAC, sched.Initiated, sched)
-			ctl.now = c.Cycle()
 			pos += sched.Initiated
 			ctl.refCPL = dw.ref
 			if dw.stopped {
@@ -511,6 +514,5 @@ func runSegmentW[S any](c *memsim.Core, m exec.Machine[S], ctl *Controller, tech
 		ops.RunMachine(c, seg, tech, ops.Params{Window: window})
 	}
 	ctl.account(tech, n, sched)
-	ctl.now = c.Cycle()
 	return float64(c.Cycle()-start) / float64(n)
 }

@@ -107,11 +107,11 @@ func (d Decision) String() string {
 	return s
 }
 
-// record appends a decision stamped with the controller's current timebase
-// and mirrors it into the trace, if one is attached.
+// record appends a decision stamped with the bound core's current cycle and
+// mirrors it into the trace, if one is attached.
 func (ctl *Controller) record(kind DecisionKind, from, to ops.Technique, cpl float64) {
 	d := Decision{
-		Cycle: ctl.now,
+		Cycle: ctl.core.Cycle(),
 		Kind:  kind,
 		From:  from,
 		To:    to,

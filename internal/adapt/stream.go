@@ -33,7 +33,7 @@ func RunStream[S any](c *memsim.Core, src exec.Source[S], ctl *Controller, queue
 	t := NewStreamTuner(c, ctl, queueDepth)
 	var agg core.RunStats
 	for {
-		lease, sched := RunLease(c, src, t, t.Next(), nil, false)
+		lease, sched := RunLease(c, src, t, t.Next())
 		agg.Add(sched)
 		if lease.Exhausted {
 			return agg

@@ -281,16 +281,13 @@ func (t *StreamTuner) Observe(l Lease, completed int, busyCycles uint64, sched c
 
 // RunLease executes one lease over the source on core c and reports it to
 // the tuner, returning the lease wrapper for inspection (completions,
-// exhaustion, a recorded wait) and the AMAC scheduler stats. It is the
-// shared engine-dispatch helper between RunStream and the pipeline layer;
-// gate and noWait configure the lease's backpressure hooks.
-func RunLease[S any](c *memsim.Core, src exec.Source[S], t *StreamTuner, l Lease, gate func() bool, noWait bool) (*exec.LeaseSource[S], core.RunStats) {
-	lease := &exec.LeaseSource[S]{Src: src, Quota: l.Quota, Gate: gate, NoWait: noWait}
+// exhaustion) and the AMAC scheduler stats.
+func RunLease[S any](c *memsim.Core, src exec.Source[S], t *StreamTuner, l Lease) (*exec.LeaseSource[S], core.RunStats) {
+	lease := &exec.LeaseSource[S]{Src: src, Quota: l.Quota}
 	before := c.Stats()
 	sched := ops.RunSource(c, lease, l.Tech, l.Params)
 	after := c.Stats()
 	busy := (after.Cycles - before.Cycles) - (after.IdleCycles - before.IdleCycles)
-	t.ctl.now = c.Cycle()
 	t.Observe(l, lease.Completed, busy, sched, lease.Exhausted)
 	return lease, sched
 }

@@ -156,3 +156,29 @@ func (m *LatchMachine) Stage(c *memsim.Core, s *LatchState, stage int) exec.Outc
 		panic("exectest: LatchMachine has stages 1 and 2 only")
 	}
 }
+
+// RemapMachine presents a base machine under a position→lookup-index map:
+// lookup i of the wrapper is lookup Idx[i] of the base. It charges nothing
+// simulated itself, so a run over the wrapper is bit-identical to a run
+// that applies the same map at the source layer (serve.RunFaulty's Sched) —
+// the equivalence the fault tier's zero-fault differential tests pin.
+type RemapMachine[S any] struct {
+	M   exec.Machine[S]
+	Idx []int32
+}
+
+// NumLookups implements exec.Machine.
+func (r RemapMachine[S]) NumLookups() int { return len(r.Idx) }
+
+// ProvisionedStages implements exec.Machine.
+func (r RemapMachine[S]) ProvisionedStages() int { return r.M.ProvisionedStages() }
+
+// Init implements exec.Machine.
+func (r RemapMachine[S]) Init(c *memsim.Core, s *S, i int) exec.Outcome {
+	return r.M.Init(c, s, int(r.Idx[i]))
+}
+
+// Stage implements exec.Machine.
+func (r RemapMachine[S]) Stage(c *memsim.Core, s *S, stage int) exec.Outcome {
+	return r.M.Stage(c, s, stage)
+}

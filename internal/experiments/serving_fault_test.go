@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"amac/internal/exec"
+	"amac/internal/exec/exectest"
 	"amac/internal/fault"
 	"amac/internal/memsim"
 	"amac/internal/ops"
@@ -20,7 +20,7 @@ var faultDiffSpec = relation.JoinSpec{BuildSize: 1 << 11, ProbeSize: 1 << 11, Zi
 // zero-fault equivalence: the faultN clean row (RunFaulty with a Sched map
 // and no faults or policies) is bit-identical to plain serve.Run over the
 // same replicas with the identical map applied at the machine layer
-// (exec.RemapMachine). Both run on the one serving coordinator but apply
+// (exectest.RemapMachine). Both run on the one serving coordinator but apply
 // the position→index map in different layers, so agreement means the
 // queue's Sched mapping changes nothing simulated.
 func TestFaultNZeroFaultMatchesServeMachinery(t *testing.T) {
@@ -41,7 +41,7 @@ func TestFaultNZeroFaultMatchesServeMachinery(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		fj.outs[1][w].Reset()
 		refSpecs[w] = serve.Worker[ops.ProbeState]{
-			Machine:  exec.RemapMachine[ops.ProbeState]{M: fj.joins[w].ProbeMachine(fj.outs[1][w], true), Idx: fj.scheds[w]},
+			Machine:  exectest.RemapMachine[ops.ProbeState]{M: fj.joins[w].ProbeMachine(fj.outs[1][w], true), Idx: fj.scheds[w]},
 			Arrivals: arrivals(w),
 		}
 	}

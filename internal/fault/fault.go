@@ -10,8 +10,10 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -78,6 +80,23 @@ type Episode struct {
 // End is the first cycle after the episode.
 func (e Episode) End() uint64 { return e.Start + e.Dur }
 
+// check reports what makes the episode unappliable on any shard count: an
+// unknown kind, a zero duration, an end past the last cycle, or a Slow or
+// Spike factor that is not a finite number >= 1.
+func (e Episode) check() error {
+	switch {
+	case e.Kind > Spike:
+		return fmt.Errorf("fault: episode has unknown kind %d", e.Kind)
+	case e.Dur == 0:
+		return fmt.Errorf("fault: episode %s has zero duration", e)
+	case e.End() < e.Start:
+		return fmt.Errorf("fault: episode %s ends past the last cycle", e)
+	case (e.Kind == Slow || e.Kind == Spike) && !(e.Factor >= 1 && e.Factor <= math.MaxFloat64):
+		return fmt.Errorf("fault: episode %s needs a finite factor >= 1", e)
+	}
+	return nil
+}
+
 // String renders the episode in the -faults flag grammar.
 func (e Episode) String() string {
 	s := fmt.Sprintf("%s:%d@%d+%d", e.Kind, e.Shard, e.Start, e.Dur)
@@ -109,37 +128,32 @@ func (s *Schedule) String() string {
 	return strings.Join(parts, ",")
 }
 
-// sortEpisodes orders by (Start, Shard, Kind) — a total, deterministic order.
+// sortEpisodes orders by (Start, Shard, Kind), then Dur and Factor, so the
+// order is total and a schedule's String re-parses to the same sequence.
+// Valid schedules never tie on the first three keys (that would be an
+// overlap), so the tie-breakers move no valid episode.
 func sortEpisodes(eps []Episode) {
-	sort.Slice(eps, func(i, j int) bool {
-		a, b := eps[i], eps[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
-		}
-		return a.Kind < b.Kind
+	slices.SortFunc(eps, func(a, b Episode) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Shard, b.Shard),
+			cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Dur, b.Dur), cmp.Compare(a.Factor, b.Factor))
 	})
 }
 
 // Validate checks every episode against the shard count: shards in range,
-// positive durations, sane factors, and no overlapping episodes on one shard.
+// known kinds, positive durations that end before the cycle counter wraps,
+// finite factors >= 1, and no overlapping episodes on one shard.
 func (s *Schedule) Validate(shards int) error {
 	if s == nil {
 		return nil
 	}
-	lastEnd := make(map[int]uint64, shards)
+	lastEnd := make(map[int]uint64)
 	sortEpisodes(s.Episodes)
 	for _, e := range s.Episodes {
 		if e.Shard < 0 || e.Shard >= shards {
 			return fmt.Errorf("fault: episode %s names shard %d of %d", e, e.Shard, shards)
 		}
-		if e.Dur == 0 {
-			return fmt.Errorf("fault: episode %s has zero duration", e)
-		}
-		if (e.Kind == Slow || e.Kind == Spike) && e.Factor < 1 {
-			return fmt.Errorf("fault: episode %s needs a factor >= 1", e)
+		if err := e.check(); err != nil {
+			return err
 		}
 		if end, ok := lastEnd[e.Shard]; ok && e.Start < end {
 			return fmt.Errorf("fault: episode %s overlaps an earlier episode on shard %d", e, e.Shard)
@@ -177,8 +191,10 @@ type Spec struct {
 //
 //	kind:shard@start+dur[xfactor]   e.g. slow:0@60000+120000x4
 //
-// or a seeded random request rand:<seed>[:<episodes>]. Cycle counts accept a
-// k/M suffix (×1e3/×1e6).
+// or a seeded random request rand:<seed>[:<episodes>] of at most
+// maxRandEpisodes draws. Cycle counts accept a k/M suffix (×1e3/×1e6).
+// Every parsed episode passes the shard-independent checks of
+// Schedule.Validate.
 func ParseSpec(spec string) (Spec, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -192,7 +208,7 @@ func ParseSpec(spec string) (Spec, error) {
 		}
 		n := 4
 		if hasN {
-			if n, err = strconv.Atoi(nStr); err != nil || n <= 0 {
+			if n, err = strconv.Atoi(nStr); err != nil || n <= 0 || n > maxRandEpisodes {
 				return Spec{}, fmt.Errorf("fault: bad rand episode count %q", nStr)
 			}
 		}
@@ -258,10 +274,11 @@ func parseEpisode(tok string) (Episode, error) {
 	} else if kind == Slow || kind == Spike {
 		return Episode{}, fmt.Errorf("fault: %s episodes need an xfactor (%q)", kind, tok)
 	}
-	return ep, nil
+	return ep, ep.check()
 }
 
-// parseCycles parses a cycle count with an optional k or M suffix.
+// parseCycles parses a cycle count with an optional k or M suffix, rejecting
+// counts the suffix would carry past 2^64-1.
 func parseCycles(s string) (uint64, error) {
 	mult := uint64(1)
 	if n, ok := strings.CutSuffix(s, "k"); ok {
@@ -273,14 +290,33 @@ func parseCycles(s string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	if v > math.MaxUint64/mult {
+		return 0, strconv.ErrRange
+	}
 	return v * mult, nil
 }
 
+// maxRandEpisodes caps a random spec's draws: Random scans every kept
+// episode per draw, so an unbounded count would stall Resolve.
+const maxRandEpisodes = 1 << 12
+
+// minRandHorizon is the shortest horizon Random places episodes in: every
+// draw then gets a start range and a duration of at least one cycle.
+const minRandHorizon = 64
+
 // Resolve materializes the spec against a shard count and run horizon:
 // random specs draw their episodes, fixed schedules are validated as-is.
+// It returns an error for fewer than one shard, or for a random spec whose
+// horizon is too short to place an episode.
 func (sp Spec) Resolve(shards int, horizon uint64) (*Schedule, error) {
+	if shards < 1 {
+		return nil, fmt.Errorf("fault: %d shards, need at least one", shards)
+	}
 	sched := sp.Sched
 	if sp.IsRand {
+		if horizon < minRandHorizon {
+			return nil, fmt.Errorf("fault: horizon of %d cycles is too short for random episodes (need %d)", horizon, minRandHorizon)
+		}
 		sched = Random(sp.RandSeed, sp.RandN, shards, horizon)
 	}
 	if err := sched.Validate(shards); err != nil {
@@ -291,9 +327,11 @@ func (sp Spec) Resolve(shards int, horizon uint64) (*Schedule, error) {
 
 // Random draws up to n episodes from a seeded generator: kinds, shards,
 // starts in the middle [1/8, 5/8) of the horizon, durations in [1/64, 3/16)
-// of it, factors in 2..5. Episodes that would overlap an earlier one on the
-// same shard are discarded rather than re-drawn, so the stream of random
-// numbers consumed — and therefore the schedule — depends only on the seed.
+// of it, factors in 2..5. It needs shards >= 1 and a horizon of at least 64
+// cycles (Spec.Resolve checks both). Episodes that would overlap an earlier
+// one on the same shard are discarded rather than re-drawn, so the stream of
+// random numbers consumed — and therefore the schedule — depends only on the
+// seed.
 func Random(seed uint64, n, shards int, horizon uint64) *Schedule {
 	r := xrand.New(seed)
 	sched := &Schedule{}

@@ -384,6 +384,39 @@ func TestPipelineAdaptiveMatchesStatic(t *testing.T) {
 	}
 }
 
+// TestPipelineAdaptiveDecisionCycles: every stage controller's decisions
+// are stamped at the cycle they were made — never decreasing, never past the
+// run's final cycle, and the first calibration after the probe leases ran.
+func TestPipelineAdaptiveDecisionCycles(t *testing.T) {
+	w := newChainWorkload()
+	c := newCore()
+	ctls := make([]*adapt.Controller, 3)
+	for i := range ctls {
+		ctls[i] = adapt.NewControllerFor(c, adapt.Config{RetuneRequests: 64, ProbeRequests: 16})
+	}
+	w.builder().Build(ops.NewOutput(w.a, false)).RunAdaptive(c, ctls)
+	end := c.Cycle()
+	for i, ctl := range ctls {
+		var last uint64
+		calibrated := false
+		for _, d := range ctl.Decisions() {
+			if d.Cycle < last || d.Cycle > end {
+				t.Fatalf("stage %d: decision %v at cycle %d after %d (run ends at %d)", i, d.Kind, d.Cycle, last, end)
+			}
+			last = d.Cycle
+			if d.Kind == adapt.KindCalibrate && !calibrated {
+				calibrated = true
+				if d.Cycle == 0 {
+					t.Fatalf("stage %d: first calibration stamped at cycle 0", i)
+				}
+			}
+		}
+		if !calibrated {
+			t.Fatalf("stage %d never calibrated: %v", i, ctl.Decisions())
+		}
+	}
+}
+
 // TestPipelineSingleUse: a Pipeline refuses to run twice.
 func TestPipelineSingleUse(t *testing.T) {
 	w := newBSTWorkload()

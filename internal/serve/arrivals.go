@@ -114,11 +114,19 @@ func (b Bursty) Schedule(n int, seed uint64) []uint64 {
 	return out
 }
 
+// maxPeriod bounds ParseArrivals' mean period at 2^32 cycles (seconds of
+// simulated time), so every schedule's cycle counts stay far below 2^64.
+const maxPeriod = 1 << 32
+
 // ParseArrivals builds the named process at the given mean inter-arrival
 // period: "deterministic", "poisson" (the default for empty input), or
 // "bursty" (bursts of 32 at half the period, idle between bursts so the
-// long-run rate matches the requested period).
+// long-run rate matches the requested period). Periods below one cycle run
+// at one; a non-finite period, or one above 2^32 cycles, is an error.
 func ParseArrivals(name string, period float64) (ArrivalProcess, error) {
+	if math.IsNaN(period) || period > maxPeriod || math.IsInf(period, -1) {
+		return nil, fmt.Errorf("serve: arrival period %v is not a finite cycle count up to 2^32", period)
+	}
 	if period < 1 {
 		period = 1
 	}

@@ -19,7 +19,10 @@
 // p99 and an admission queue that grows without bound.
 //
 // The sharded service has one coordinator, RunFaulty; Run is RunFaulty with
-// no faults, no deadline and no recovery policy. Every worker owns a private
+// no faults, no deadline and no recovery policy. Validate is its option
+// check: callers holding options from outside (the root package's
+// RunService) call it first and get an error, and RunFaulty panics with the
+// same error for internal callers. Every worker owns a private
 // core, machine, queue and recorder, and the coordinator steps each shard's
 // engine to common round edges of the simulated clock so that host-side
 // policy — package fault's scripted episodes (slowdown, freeze, crash,

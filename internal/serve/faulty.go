@@ -65,10 +65,29 @@ func (o *FaultyOptions) routed() bool {
 	return o.Retry.Enabled() || o.Hedge.Enabled() || o.Breaker != nil
 }
 
-// validate reports the first option the coordinator cannot honour for these
-// workers. Fault episodes, deadlines and routing act on a resumable engine
-// that can be paused, aborted and drained, which only AMAC's is.
-func validate[S any](o *FaultyOptions, workers []Worker[S]) error {
+// Validate reports the first option the coordinator cannot honour for these
+// workers: a hardware model that fails validation at the workers' LLC
+// share, an unknown technique on a non-adaptive run, a nil worker machine,
+// an arrival schedule that decreases within the requests its worker serves,
+// or faults, deadlines or routing the engines cannot apply. Fault episodes,
+// deadlines and routing act on a resumable engine that can be paused,
+// aborted and drained, which only AMAC's is.
+func Validate[S any](o *FaultyOptions, workers []Worker[S]) error {
+	hw := o.Hardware.ShareLLC(len(workers))
+	if err := hw.Validate(); err != nil {
+		return fmt.Errorf("serve: hardware: %w", err)
+	}
+	if o.Adaptive == nil && !slices.Contains(ops.Techniques, o.Technique) {
+		return fmt.Errorf("serve: unknown technique %v", o.Technique)
+	}
+	for w, wk := range workers {
+		if wk.Machine == nil {
+			return fmt.Errorf("serve: worker %d has no machine", w)
+		}
+		if !slices.IsSorted(wk.Arrivals[:min(len(wk.Arrivals), wk.Machine.NumLookups())]) {
+			return fmt.Errorf("serve: worker %d's arrival schedule decreases", w)
+		}
+	}
 	needsAMAC := !o.Faults.Empty() || o.Deadline != 0 || o.routed()
 	switch {
 	case needsAMAC && o.Adaptive != nil:
@@ -383,8 +402,9 @@ func (r *router) breakerRound(t uint64) {
 //
 // Fault episodes, deadlines and recovery policies need the AMAC engine
 // (timed-out and aborted slots reuse its shrink-drain machinery) and a
-// non-adaptive configuration; RunFaulty panics with an error on options it
-// cannot honour, before any work starts.
+// non-adaptive configuration. RunFaulty panics with Validate's error on
+// options it cannot honour, before any work starts; callers that take
+// options from outside call Validate first.
 //
 // The socket models are recycled (memsim.AcquireSystem), so a load sweep
 // that runs once per (technique, load) point reuses one System+Core pair per
@@ -392,7 +412,7 @@ func (r *router) breakerRound(t uint64) {
 // recycled pair is reset to exactly the fresh-construction state, so results
 // are bit-identical either way.
 func RunFaulty[S any](opts FaultyOptions, workers []Worker[S]) Result {
-	if err := validate(&opts, workers); err != nil {
+	if err := Validate(&opts, workers); err != nil {
 		panic(err)
 	}
 	n := len(workers)

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"amac/internal/adapt"
@@ -87,7 +89,7 @@ func FuzzServe(f *testing.F) {
 			opts.SLO = fault.SLO{P99Budget: 1000 + uint64(period)%4000, Classes: 4, HoldRounds: 2}
 		}
 
-		if err := validate(&opts, workers); err != nil {
+		if err := Validate(&opts, workers); err != nil {
 			defer func() {
 				if v, ok := recover().(error); !ok || v.Error() != err.Error() {
 					t.Fatalf("RunFaulty panicked with %v, want the validation error %q", v, err)
@@ -170,4 +172,34 @@ func checkServed(t *testing.T, res Result, perShard int, routed bool) {
 	if r := &res.Latency; resolved(r) != r.Offered {
 		t.Fatalf("resolved %d of %d offered requests: %v", resolved(r), r.Offered, r)
 	}
+}
+
+// FuzzParseArrivals drives ParseArrivals with arbitrary names and periods.
+// The oracle: an accepted process yields a non-decreasing Schedule(n, seed),
+// and the same schedule on every call. The CI runs it with -fuzz for a
+// bounded time; plain go test replays the seed corpus in
+// testdata/fuzz/FuzzParseArrivals.
+func FuzzParseArrivals(f *testing.F) {
+	f.Add("poisson", 500.0, uint16(64), uint64(1))
+	f.Add("deterministic", 0.25, uint16(16), uint64(2))
+	f.Add("bursty", 1e9, uint16(300), uint64(3))
+	f.Add("", math.Inf(1), uint16(3), uint64(4))
+	f.Fuzz(func(t *testing.T, name string, period float64, n uint16, seed uint64) {
+		p, err := ParseArrivals(name, period)
+		if err != nil {
+			return
+		}
+		a := p.Schedule(int(n), seed)
+		if len(a) != int(n) {
+			t.Fatalf("%s at %v: %d arrivals, want %d", p.Name(), period, len(a), n)
+		}
+		for i := 1; i < len(a); i++ {
+			if a[i] < a[i-1] {
+				t.Fatalf("%s at %v: arrival %d at cycle %d after %d", p.Name(), period, i, a[i], a[i-1])
+			}
+		}
+		if b := p.Schedule(int(n), seed); !slices.Equal(a, b) {
+			t.Fatalf("%s at %v: schedule differs between calls", p.Name(), period)
+		}
+	})
 }

@@ -139,12 +139,15 @@ func TestServiceDecisionLogPublicAPI(t *testing.T) {
 		}
 	}
 	acfg := amac.AdaptiveConfig{SegmentLookups: 128, ProbeLookups: 32}
-	res := amac.RunService(amac.ServiceOptions{
+	res, err := amac.RunService(amac.FaultyServiceOptions{Options: amac.ServiceOptions{
 		Hardware:  amac.XeonX5670(),
 		Technique: amac.AMAC,
 		Window:    8,
 		Adaptive:  &acfg,
-	}, specs)
+	}}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if len(res.Adapt.Decisions) == 0 {
 		t.Fatal("merged service info holds no decisions")

@@ -11,9 +11,10 @@ import (
 // generation (deterministic, Poisson, bursty arrivals in simulated cycles),
 // a bounded admission queue with drop/block policies, per-request
 // admission→completion latency accounting, and the request-stream entry
-// points of all four execution engines (a batch is the stream that admits
-// every lookup at cycle 0). AMAC refills each circular-buffer slot the
-// moment its lookup completes; the GP/SPP/Baseline engines keep their
+// points: RunSourceWith for any technique, RunStream for AMAC with its full
+// Options (a batch is the stream that admits every lookup at cycle 0), and
+// RunService for a sharded service. AMAC refills each circular-buffer slot
+// the moment its lookup completes; the GP/SPP/Baseline engines keep their
 // batch-boundary refill restrictions, so the paper's flexibility argument
 // becomes measurable as tail latency (see the serveN experiment and
 // examples/serving).
@@ -110,28 +111,12 @@ func RunStream[S any](c *Core, src Source[S], opts Options) RunStats {
 	return core.RunStream(c, src, opts)
 }
 
-// RunBaselineStream serves requests one at a time with no prefetching.
-func RunBaselineStream[S any](c *Core, src Source[S]) {
-	exec.BaselineStream(c, src)
-}
-
-// RunGroupPrefetchStream serves requests under Group Prefetching semantics:
-// new requests are admitted only at group boundaries, after the previous
-// group fully drained.
-func RunGroupPrefetchStream[S any](c *Core, src Source[S], group int) {
-	exec.GroupPrefetchStream(c, src, group)
-}
-
-// RunSoftwarePipelineStream serves requests under Software-Pipelined
-// Prefetching semantics: a pipeline slot refills only at its static refill
-// point, even when its lookup finished early.
-func RunSoftwarePipelineStream[S any](c *Core, src Source[S], inflight int) {
-	exec.SoftwarePipelineStream(c, src, inflight)
-}
-
 // RunSourceWith drives the selected technique's engine over one source on
-// one core — the streaming counterpart of RunWith. AMAC returns its scheduler stats, honouring
-// Params.Controller; the other engines report only through the source.
+// one core — the streaming counterpart of RunWith. GP admits new requests
+// only at group boundaries, after the previous group drained; SPP refills a
+// pipeline slot only at its static refill point; Baseline serves one request
+// at a time. AMAC returns its scheduler stats, honouring Params.Controller;
+// the other engines report only through the source.
 func RunSourceWith[S any](c *Core, src Source[S], tech Technique, p Params) RunStats {
 	return ops.RunSource(c, src, tech, p)
 }
@@ -141,7 +126,8 @@ func RunSourceWith[S any](c *Core, src Source[S], tech Technique, p Params) RunS
 type ServiceWorker[S any] = serve.Worker[S]
 
 // ServiceOptions configures a service run (hardware model, technique,
-// window, queue bound and policy, optional per-worker cache warm-up).
+// window, queue bound and policy, optional per-worker cache warm-up). It is
+// the Options field of FaultyServiceOptions, which RunService takes.
 type ServiceOptions = serve.Options
 
 // ServiceResult is the merged outcome of a service run: per-worker and
@@ -150,10 +136,24 @@ type ServiceOptions = serve.Options
 type ServiceResult = serve.Result
 
 // RunService executes a sharded streaming service: every worker serves its
-// machine from its own queue-fed source on a private core, concurrently on
-// real goroutines, deterministically for a fixed configuration. It is
-// RunFaultyService's coordinator with no faults, no deadline and no recovery
-// policy, which runs the whole service as one round.
-func RunService[S any](opts ServiceOptions, workers []ServiceWorker[S]) ServiceResult {
-	return serve.Run(opts, workers)
+// machine from its own queue-fed source on a private core, and one
+// coordinator steps the shards to common round edges of the simulated
+// clock, so the chaos timeline, deadlines, hedging, breakers and brownout
+// apply at identical simulated instants on every execution. A zero fault
+// block (no faults, deadline or recovery policy) runs the whole service as
+// one round, every shard on its own goroutine. Results are deterministic
+// for a fixed configuration.
+//
+// It returns an error, and runs nothing, for options it cannot honour: a
+// hardware model that fails validation, an unknown technique, a nil worker
+// machine, a decreasing arrival schedule, fault episodes, a deadline or a
+// recovery policy on a technique other than AMAC or with adaptive control,
+// a recovery policy without a Sched map, a Sched map that does not cover
+// every worker's requests, or a fault schedule that does not fit the
+// workers.
+func RunService[S any](opts FaultyServiceOptions, workers []ServiceWorker[S]) (ServiceResult, error) {
+	if err := serve.Validate(&opts, workers); err != nil {
+		return ServiceResult{}, err
+	}
+	return serve.RunFaulty(opts, workers), nil
 }

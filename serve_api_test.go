@@ -73,11 +73,14 @@ func TestServiceTechniquesPublicAPI(t *testing.T) {
 				Arrivals: amac.Deterministic{Period: 500}.Schedule(pj.Parts[w].Probe.Len(), 0),
 			}
 		}
-		res := amac.RunService(amac.ServiceOptions{
+		res, err := amac.RunService(amac.FaultyServiceOptions{Options: amac.ServiceOptions{
 			Hardware:  amac.XeonX5670(),
 			Technique: tech,
 			Window:    8,
-		}, specs)
+		}}, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		var count, sum uint64
 		for _, out := range outs {

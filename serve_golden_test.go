@@ -105,13 +105,16 @@ func executeServeGolden(t testing.TB, sc serveScenario) serveGoldenRecord {
 		}
 	}
 
-	res := amac.RunService(amac.ServiceOptions{
+	res, err := amac.RunService(amac.FaultyServiceOptions{Options: amac.ServiceOptions{
 		Hardware:  amac.XeonX5670(),
 		Technique: sc.tech,
 		Window:    10,
 		QueueCap:  sc.qcap,
 		Policy:    sc.policy,
-	}, workers)
+	}}, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	return serveGoldenRecord{
 		Offered:      res.Latency.Offered,
