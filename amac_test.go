@@ -109,6 +109,43 @@ func TestExperimentRegistryExposed(t *testing.T) {
 	}
 }
 
+// TestRunExperimentRejectsBadConfig: RunExperiment checks its config before
+// any work, so each bad setting returns an error instead of panicking in a
+// sweep goroutine or running as if it were unset.
+func TestRunExperimentRejectsBadConfig(t *testing.T) {
+	tiny := func(edit func(*amac.ExperimentConfig)) amac.ExperimentConfig {
+		cfg := amac.ExperimentConfig{Scale: amac.TinyScale}
+		edit(&cfg)
+		return cfg
+	}
+	cases := []struct {
+		name, id string
+		cfg      amac.ExperimentConfig
+	}{
+		{"unknown-arrivals", "serveN", tiny(func(c *amac.ExperimentConfig) { c.Arrivals = "nope" })},
+		{"malformed-faults", "faultN", tiny(func(c *amac.ExperimentConfig) { c.Faults = "slow:0@bogus" })},
+		{"unmatched-plans", "pipeN", tiny(func(c *amac.ExperimentConfig) { c.Plans = "nosuchplan" })},
+		{"unknown-scale", "table4", amac.ExperimentConfig{Scale: "huge"}},
+		{"negative-window", "fig6", tiny(func(c *amac.ExperimentConfig) { c.Window = -1 })},
+		{"negative-workers", "scaleN", tiny(func(c *amac.ExperimentConfig) { c.Workers = -1 })},
+		{"negative-parallel", "fig6", tiny(func(c *amac.ExperimentConfig) { c.Parallel = -1 })},
+		{"negative-queuecap", "serveN", tiny(func(c *amac.ExperimentConfig) { c.QueueCap = -1 })},
+		{"negative-burst", "pipeN", tiny(func(c *amac.ExperimentConfig) { c.Burst = -1 })},
+		{"negative-pipecap", "pipeN", tiny(func(c *amac.ExperimentConfig) { c.PipeCap = -1 })},
+		{"negative-deadline", "faultN", tiny(func(c *amac.ExperimentConfig) { c.Deadline = -1 })},
+		{"negative-slobudget", "faultN", tiny(func(c *amac.ExperimentConfig) { c.SLOBudget = -1 })},
+		{"queuecap-on-fig6", "fig6", tiny(func(c *amac.ExperimentConfig) { c.QueueCap = 64 })},
+		{"trace-on-fig6", "fig6", tiny(func(c *amac.ExperimentConfig) { c.Trace = amac.NewTrace(0) })},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := amac.RunExperiment(tc.id, tc.cfg); err == nil {
+				t.Fatalf("RunExperiment(%q) accepted a bad config", tc.id)
+			}
+		})
+	}
+}
+
 func TestGroupByFacade(t *testing.T) {
 	rel, err := amac.BuildGroupBy(amac.GroupBySpec{Size: 900, Repeats: 3, Seed: 2})
 	if err != nil {

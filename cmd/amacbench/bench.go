@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"amac"
@@ -171,8 +172,11 @@ const gateRatio = 3.0
 
 // checkBenchGate compares the just-measured suite against a committed
 // baseline file and errors out if any shared benchmark regressed by more
-// than gateRatio in ns/op. The baseline may be a plain -bench output file or
-// a BENCH_pr*.json record holding one under "amacbench_bench".
+// than gateRatio in ns/op, or records nonzero simulated cycles on both sides
+// that differ. The cycle check is exact and host-independent: the simulator
+// is deterministic, so any difference is a behaviour change. The baseline
+// may be a plain -bench output file or a BENCH_pr*.json record holding one
+// under "amacbench_bench".
 func checkBenchGate(current benchFile, baselinePath string) error {
 	buf, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -193,33 +197,38 @@ func checkBenchGate(current benchFile, baselinePath string) error {
 			baselinePath, base.Scale, current.Scale)
 	}
 
-	baseline := make(map[string]float64, len(base.Benchmarks))
+	baseline := make(map[string]benchEntry, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
-		baseline[b.Name] = b.NsPerOp
+		baseline[b.Name] = b
 	}
 	var failures []string
-	shared := 0
+	shared, cycled := 0, 0
 	for _, b := range current.Benchmarks {
 		want, ok := baseline[b.Name]
-		if !ok || want <= 0 {
+		if !ok || want.NsPerOp <= 0 {
 			continue
 		}
 		shared++
-		if b.NsPerOp > gateRatio*want {
+		if b.NsPerOp > gateRatio*want.NsPerOp {
 			failures = append(failures, fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f (%.1fx > %.1fx)",
-				b.Name, b.NsPerOp, want, b.NsPerOp/want, gateRatio))
+				b.Name, b.NsPerOp, want.NsPerOp, b.NsPerOp/want.NsPerOp, gateRatio))
+		}
+		if b.SimCycles != 0 && want.SimCycles != 0 {
+			cycled++
+			if b.SimCycles != want.SimCycles {
+				failures = append(failures, fmt.Sprintf("%s: %d simulated cycles vs baseline %d (must be equal)",
+					b.Name, b.SimCycles, want.SimCycles))
+			}
 		}
 	}
 	if shared == 0 {
 		return fmt.Errorf("bench gate: baseline %s shares no benchmark names with this run", baselinePath)
 	}
 	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintln(os.Stderr, "amacbench: bench gate FAIL:", f)
-		}
-		return fmt.Errorf("bench gate: %d of %d shared benchmarks regressed more than %.0fx", len(failures), shared, gateRatio)
+		return fmt.Errorf("bench gate: %d failure(s) over %d shared benchmarks (ns/op beyond %.0fx, or simulated cycles changed):\n  %s",
+			len(failures), shared, gateRatio, strings.Join(failures, "\n  "))
 	}
-	fmt.Fprintf(os.Stderr, "amacbench: bench gate OK (%d shared benchmarks within %.0fx of %s)\n", shared, gateRatio, baselinePath)
+	fmt.Fprintf(os.Stderr, "amacbench: bench gate OK (%d shared benchmarks within %.0fx of %s, simulated cycles equal on %d)\n", shared, gateRatio, baselinePath, cycled)
 	return nil
 }
 

@@ -25,7 +25,7 @@
 //	amacbench -exp profN                # cycle attribution: category breakdown, stall hiding, MLP
 //	amacbench -exp profN -flame f.txt -profile p.pb.gz  # flamegraph stacks + pprof proto
 //	amacbench -bench                    # benchmark suite -> BENCH_pr4.json
-//	amacbench -bench -benchgate BENCH_pr4.json  # CI gate: fail on >3x ns/op regressions
+//	amacbench -bench -benchgate BENCH_pr4.json  # CI gate: fail on >3x ns/op or any sim-cycle change
 //	amacbench -exp fig6 -cpuprofile cpu.prof  # profile the simulator hot path
 //
 // Results are printed as aligned text tables whose rows and columns mirror
@@ -39,53 +39,104 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"amac/internal/experiments"
-	"amac/internal/fault"
 	"amac/internal/obs"
 	"amac/internal/prof"
-	"amac/internal/serve"
 	"amac/internal/table"
 )
 
-func main() {
-	var (
-		list      = flag.Bool("list", false, "list available experiments and exit")
-		exp       = flag.String("exp", "", "experiment id to run, or \"all\"")
-		scale     = flag.String("scale", "small", "dataset scale: tiny, small or paper")
-		seed      = flag.Uint64("seed", 42, "workload generation seed")
-		window    = flag.Int("window", 0, "override the number of in-flight lookups (0 = per-experiment default)")
-		workers   = flag.Int("workers", 0, "cap the parallel experiments' worker sweep (0 = default sweep 1,2,4,8,16); serveN worker count")
-		parallel  = flag.Int("parallel", 0, "host workers for independent sweep points (0 = all cores, 1 = serial); results are identical for every value")
-		arrivals  = flag.String("arrivals", "", "serving arrival process: deterministic, poisson (default) or bursty")
-		qcap      = flag.Int("qcap", 0, "bound the serving admission queue and drop on overflow (0 = unbounded blocking queue)")
-		plans     = flag.String("plans", "", "pipeline plan filter: comma-separated case-insensitive substrings of pipeN plan names (empty = every plan)")
-		burst     = flag.Int("burst", 0, "pipeline pump lease size: admissions per upstream lease (0 = pipeline default)")
-		pipeCap   = flag.Int("pipecap", 0, "pipeline inter-stage pipe capacity in rows, the backpressure bound (0 = pipeline default)")
-		faults    = flag.String("faults", "", "faultN chaos schedule: comma-separated \"kind:shard@start+dur[xfactor]\" episodes or \"rand:SEED[:N]\" (empty = default scenario)")
-		deadline  = flag.Int("deadline", 0, "faultN per-request deadline in cycles (0 = derive 2x the clean-run p99)")
-		slo       = flag.Int("slo", 0, "faultN p99 SLO budget in cycles; enables the brownout row (0 = omit it)")
-		jsonOut   = flag.Bool("json", false, "emit results as JSON Lines (one object per table row) instead of text tables")
-		tracePath = flag.String("trace", "", "write a Chrome/Perfetto trace of the experiment's designated cell to this file")
-		metPath   = flag.String("metrics", "", "write the designated cell's gauge time series to this file as JSON Lines")
-		metEvery  = flag.Int("metrics-interval", 0, "metrics sampling period in simulated cycles (0 = default 4096); requires -metrics")
-		profPath  = flag.String("profile", "", "write the designated cell's cycle-attribution profile to this file as a gzipped pprof proto (go tool pprof)")
-		flamePath = flag.String("flame", "", "write the designated cell's cycle attribution to this file as folded flamegraph stacks (flamegraph.pl, speedscope)")
-		bench     = flag.Bool("bench", false, "run the benchmark suite and write per-benchmark ns/op, allocs/op and simulated cycles")
-		benchOut  = flag.String("benchout", "BENCH_pr4.json", "output path for -bench")
-		benchGate = flag.String("benchgate", "", "baseline JSON to gate -bench against: fail on any shared benchmark regressing more than 3x in ns/op")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this file")
-	)
-	flag.Parse()
+// options holds the command line. Flags that set a Config field bind to
+// cfg directly; the sink paths become cfg's sinks in configure.
+type options struct {
+	cfg                                     experiments.Config
+	list, jsonOut, bench                    bool
+	exp, scale                              string
+	tracePath, metPath, profPath, flamePath string
+	metEvery                                int
+	benchOut, benchGate, cpuProf, memProf   string
+}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+// newFlags declares every amacbench flag on a fresh flag set.
+func newFlags() (*flag.FlagSet, *options) {
+	fs := flag.NewFlagSet("amacbench", flag.ExitOnError)
+	o := &options{}
+	c := &o.cfg
+	fs.BoolVar(&o.list, "list", false, "list available experiments and exit")
+	fs.StringVar(&o.exp, "exp", "", "experiment id to run, or \"all\"")
+	fs.StringVar(&o.scale, "scale", "small", "dataset scale: tiny, small or paper")
+	fs.Uint64Var(&c.Seed, "seed", 42, "workload generation seed")
+	fs.IntVar(&c.Window, "window", 0, "override the number of in-flight lookups (0 = per-experiment default)")
+	fs.IntVar(&c.Workers, "workers", 0, "cap the parallel experiments' worker sweep (0 = default sweep 1,2,4,8,16); serveN worker count")
+	fs.IntVar(&c.Parallel, "parallel", 0, "host workers for independent sweep points (0 = all cores, 1 = serial); results are identical for every value")
+	fs.StringVar(&c.Arrivals, "arrivals", "", "serving arrival process: deterministic, poisson (default) or bursty")
+	fs.IntVar(&c.QueueCap, "qcap", 0, "bound the serving admission queue and drop on overflow (0 = unbounded blocking queue)")
+	fs.StringVar(&c.Plans, "plans", "", "pipeline plan filter: comma-separated case-insensitive substrings of pipeN plan names (empty = every plan)")
+	fs.IntVar(&c.Burst, "burst", 0, "pipeline pump lease size: admissions per upstream lease (0 = pipeline default)")
+	fs.IntVar(&c.PipeCap, "pipecap", 0, "pipeline inter-stage pipe capacity in rows, the backpressure bound (0 = pipeline default)")
+	fs.StringVar(&c.Faults, "faults", "", "faultN chaos schedule: comma-separated \"kind:shard@start+dur[xfactor]\" episodes or \"rand:SEED[:N]\" (empty = default scenario)")
+	fs.IntVar(&c.Deadline, "deadline", 0, "faultN per-request deadline in cycles (0 = derive 2x the clean-run p99)")
+	fs.IntVar(&c.SLOBudget, "slo", 0, "faultN p99 SLO budget in cycles; enables the brownout row (0 = omit it)")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit results as JSON Lines (one object per table row) instead of text tables")
+	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome/Perfetto trace of the experiment's designated cell to this file")
+	fs.StringVar(&o.metPath, "metrics", "", "write the designated cell's gauge time series to this file as JSON Lines")
+	fs.IntVar(&o.metEvery, "metrics-interval", 0, "metrics sampling period in simulated cycles (0 = default 4096); requires -metrics")
+	fs.StringVar(&o.profPath, "profile", "", "write the designated cell's cycle-attribution profile to this file as a gzipped pprof proto (go tool pprof)")
+	fs.StringVar(&o.flamePath, "flame", "", "write the designated cell's cycle attribution to this file as folded flamegraph stacks (flamegraph.pl, speedscope)")
+	fs.BoolVar(&o.bench, "bench", false, "run the benchmark suite and write per-benchmark ns/op, allocs/op and simulated cycles")
+	fs.StringVar(&o.benchOut, "benchout", "BENCH_pr4.json", "output path for -bench")
+	fs.StringVar(&o.benchGate, "benchgate", "", "baseline JSON to gate -bench against: fail on any shared benchmark regressing more than 3x in ns/op or changing its simulated cycles")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&o.memProf, "memprofile", "", "write a heap profile at exit to this file")
+	return fs, o
+}
+
+// configure completes o.cfg and returns the experiments to run: none for
+// -bench, every registered one for -exp all. It checks only what a Config
+// cannot show — an explicit zero, -metrics-interval without -metrics — and
+// leaves the rest to experiments.Validate, which owns which experiment
+// reads which setting.
+func (o *options) configure(visit func(func(*flag.Flag))) ([]string, error) {
+	if err := validateExplicitZero(visit); err != nil {
+		return nil, err
+	}
+	if o.metEvery < 0 || (o.metEvery > 0 && o.metPath == "") {
+		return nil, fmt.Errorf("-metrics-interval must be positive and needs -metrics (got %d, -metrics %q)", o.metEvery, o.metPath)
+	}
+	o.cfg.Scale = experiments.Scale(o.scale)
+	if o.tracePath != "" {
+		o.cfg.Trace = obs.NewTrace(0)
+	}
+	if o.metPath != "" {
+		o.cfg.Metrics = obs.NewMetrics(o.metEvery)
+	}
+	if o.profPath != "" || o.flamePath != "" {
+		o.cfg.Profile = prof.NewProfile()
+	}
+	var ids []string
+	switch {
+	case o.bench:
+	case o.exp == "all":
+		for _, d := range experiments.Registry() {
+			ids = append(ids, d.ID)
+		}
+	default:
+		ids = []string{o.exp}
+	}
+	return ids, experiments.Validate(o.cfg, ids...)
+}
+
+func main() {
+	fs, o := newFlags()
+	fs.Parse(os.Args[1:])
+
+	if o.cpuProf != "" {
+		f, err := os.Create(o.cpuProf)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -99,9 +150,9 @@ func main() {
 			f.Close()
 		}()
 	}
-	if *memProf != "" {
+	if o.memProf != "" {
 		defer func() {
-			f, err := os.Create(*memProf)
+			f, err := os.Create(o.memProf)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return
@@ -114,111 +165,31 @@ func main() {
 		}()
 	}
 
-	if *list || (*exp == "" && !*bench) {
+	if o.list || (o.exp == "" && !o.bench) {
 		listExperiments(os.Stdout)
-		if *exp == "" && !*list {
+		if o.exp == "" && !o.list {
 			fmt.Println("\nrun with -exp <id>, -exp all, or -bench")
 		}
 		return
 	}
-
-	if err := validateExplicitZero(flag.Visit); err != nil {
-		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
+	if _, ok := experiments.Find(o.exp); !ok && !o.bench && o.exp != "all" {
+		fmt.Fprintf(os.Stderr, "amacbench: unknown experiment %q\n\n", o.exp)
+		listExperiments(os.Stderr)
 		os.Exit(2)
 	}
-	if *window < 0 {
-		fmt.Fprintf(os.Stderr, "amacbench: -window must be non-negative, got %d\n", *window)
-		os.Exit(2)
-	}
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "amacbench: -workers must be non-negative, got %d\n", *workers)
-		os.Exit(2)
-	}
-	if *qcap < 0 {
-		fmt.Fprintf(os.Stderr, "amacbench: -qcap must be non-negative, got %d\n", *qcap)
-		os.Exit(2)
-	}
-	if *parallel < 0 {
-		fmt.Fprintf(os.Stderr, "amacbench: -parallel must be non-negative, got %d\n", *parallel)
-		os.Exit(2)
-	}
-	if _, err := serve.ParseArrivals(*arrivals, 1); err != nil {
-		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-		os.Exit(2)
-	}
-	if err := validateServingFlags(*exp, *bench, *arrivals, *qcap); err != nil {
-		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-		os.Exit(2)
-	}
-	if *burst < 0 {
-		fmt.Fprintf(os.Stderr, "amacbench: -burst must be non-negative, got %d\n", *burst)
-		os.Exit(2)
-	}
-	if *pipeCap < 0 {
-		fmt.Fprintf(os.Stderr, "amacbench: -pipecap must be non-negative, got %d\n", *pipeCap)
-		os.Exit(2)
-	}
-	if err := experiments.ValidatePipePlans(*plans); err != nil {
-		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-		os.Exit(2)
-	}
-	if err := validatePipelineFlags(*exp, *bench, *plans, *burst, *pipeCap); err != nil {
-		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-		os.Exit(2)
-	}
-	if err := validateObsFlags(*exp, *bench, *tracePath, *metPath, *metEvery); err != nil {
-		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-		os.Exit(2)
-	}
-	if err := validateProfFlags(*exp, *bench, *profPath, *flamePath); err != nil {
-		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-		os.Exit(2)
-	}
-	if err := validateFaultFlags(*exp, *bench, *faults, *slo, *deadline); err != nil {
-		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-		os.Exit(2)
-	}
-	sc, err := experiments.ParseScale(*scale)
+	ids, err := o.configure(fs.Visit)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
 		os.Exit(2)
 	}
-	cfg := experiments.Config{
-		Scale: sc, Seed: *seed, Window: *window, Workers: *workers,
-		Arrivals: *arrivals, QueueCap: *qcap, Parallel: *parallel,
-		Plans: *plans, Burst: *burst, PipeCap: *pipeCap,
-		Faults: *faults, Deadline: *deadline, SLOBudget: *slo,
-	}
-	if *tracePath != "" {
-		cfg.Trace = obs.NewTrace(0)
-	}
-	if *metPath != "" {
-		cfg.Metrics = obs.NewMetrics(*metEvery)
-	}
-	if *profPath != "" || *flamePath != "" {
-		cfg.Profile = prof.NewProfile()
-	}
+	cfg := o.cfg
 
-	if *bench {
-		if err := runBenchSuite(*benchOut, cfg, *scale, *seed, *benchGate); err != nil {
+	if o.bench {
+		if err := runBenchSuite(o.benchOut, cfg, o.scale, cfg.Seed, o.benchGate); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
-	}
-
-	var ids []string
-	if *exp == "all" {
-		for _, d := range experiments.Registry() {
-			ids = append(ids, d.ID)
-		}
-	} else {
-		if _, ok := experiments.Find(*exp); !ok {
-			fmt.Fprintf(os.Stderr, "amacbench: unknown experiment %q\n\n", *exp)
-			listExperiments(os.Stderr)
-			os.Exit(2)
-		}
-		ids = []string{*exp}
 	}
 
 	for _, id := range ids {
@@ -228,7 +199,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		if *jsonOut {
+		if o.jsonOut {
 			if err := table.WriteJSONRows(os.Stdout, id, tables); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
@@ -242,99 +213,67 @@ func main() {
 		fmt.Printf("(%s completed in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 
-	if cfg.Trace != nil {
-		if err := writeTrace(*tracePath, cfg.Trace); err != nil {
-			fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if cfg.Metrics != nil {
-		if err := writeMetrics(*metPath, cfg.Metrics); err != nil {
-			fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if cfg.Profile != nil {
-		if err := writeProfiles(*profPath, *flamePath, cfg.Profile); err != nil {
-			fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
-			os.Exit(1)
-		}
+	if err := writeSinks(o); err != nil {
+		fmt.Fprintf(os.Stderr, "amacbench: %v\n", err)
+		os.Exit(1)
 	}
 }
 
-// writeTrace exports the accumulated event trace as Chrome trace-event JSON
-// (Perfetto-loadable) and reports what was written on stderr, keeping stdout
-// clean for -json pipelines.
-func writeTrace(path string, tr *obs.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		return fmt.Errorf("writing trace %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	events := 0
-	for _, c := range tr.Cores() {
-		events += c.Len()
-	}
-	fmt.Fprintf(os.Stderr, "trace: wrote %s (%d core(s), %d event(s))\n", path, len(tr.Cores()), events)
-	return nil
+// sinkFile is one export of an attached sink: the trace as Chrome
+// trace-event JSON (Perfetto-loadable), the metrics as JSON Lines, the
+// profile as a gzipped pprof proto and/or folded flamegraph stacks.
+type sinkFile struct {
+	path, kind string
+	write      func(io.Writer) error
+	summary    func() string
 }
 
-// writeMetrics exports the sampled gauge time series as JSON Lines.
-func writeMetrics(path string, m *obs.Metrics) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// writeSinks exports every attached sink to its file and reports what was
+// written on stderr, keeping stdout clean for -json pipelines.
+func writeSinks(o *options) error {
+	var files []sinkFile
+	if tr := o.cfg.Trace; tr != nil {
+		files = append(files, sinkFile{o.tracePath, "trace", tr.WriteChrome, func() string {
+			events := 0
+			for _, c := range tr.Cores() {
+				events += c.Len()
+			}
+			return fmt.Sprintf("%d core(s), %d event(s)", len(tr.Cores()), events)
+		}})
 	}
-	if err := m.WriteJSONL(f); err != nil {
-		f.Close()
-		return fmt.Errorf("writing metrics %s: %w", path, err)
+	if m := o.cfg.Metrics; m != nil {
+		files = append(files, sinkFile{o.metPath, "metrics", m.WriteJSONL, func() string {
+			samples := 0
+			for _, c := range m.Cores() {
+				samples += c.Samples()
+			}
+			return fmt.Sprintf("%d core(s), %d sample(s)", len(m.Cores()), samples)
+		}})
 	}
-	if err := f.Close(); err != nil {
-		return err
+	if pr := o.cfg.Profile; pr != nil {
+		cycles := func() string {
+			return fmt.Sprintf("%d core(s), %d attributed cycle(s)", len(pr.Cores()), pr.TotalCycles())
+		}
+		if o.profPath != "" {
+			files = append(files, sinkFile{o.profPath, "profile", pr.WritePprof, cycles})
+		}
+		if o.flamePath != "" {
+			files = append(files, sinkFile{o.flamePath, "flame", pr.WriteFolded, cycles})
+		}
 	}
-	samples := 0
-	for _, c := range m.Cores() {
-		samples += c.Samples()
-	}
-	fmt.Fprintf(os.Stderr, "metrics: wrote %s (%d core(s), %d sample(s))\n", path, len(m.Cores()), samples)
-	return nil
-}
-
-// writeProfiles exports the accumulated cycle attribution: a gzipped pprof
-// proto (-profile) and/or folded flamegraph stacks (-flame), reporting what
-// was written on stderr so stdout stays clean for -json pipelines.
-func writeProfiles(profPath, flamePath string, pr *prof.Profile) error {
-	write := func(path, kind string, export func(f *os.File) error) error {
-		f, err := os.Create(path)
+	for _, sf := range files {
+		f, err := os.Create(sf.path)
 		if err != nil {
 			return err
 		}
-		if err := export(f); err != nil {
+		if err := sf.write(f); err != nil {
 			f.Close()
-			return fmt.Errorf("writing %s %s: %w", kind, path, err)
+			return fmt.Errorf("writing %s %s: %w", sf.kind, sf.path, err)
 		}
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "%s: wrote %s (%d core(s), %d attributed cycle(s))\n",
-			kind, path, len(pr.Cores()), pr.TotalCycles())
-		return nil
-	}
-	if profPath != "" {
-		if err := write(profPath, "profile", func(f *os.File) error { return pr.WritePprof(f) }); err != nil {
-			return err
-		}
-	}
-	if flamePath != "" {
-		if err := write(flamePath, "flame", func(f *os.File) error { return pr.WriteFolded(f) }); err != nil {
-			return err
-		}
+		fmt.Fprintf(os.Stderr, "%s: wrote %s (%s)\n", sf.kind, sf.path, sf.summary())
 	}
 	return nil
 }
@@ -361,211 +300,6 @@ func validateExplicitZero(visit func(func(*flag.Flag))) error {
 		return fmt.Errorf("-%s 0 is meaningless (zero selects the default; drop the flag instead)", bad)
 	}
 	return nil
-}
-
-// servingExperiments are the experiment ids whose runs consume the serving
-// flags: -arrivals selects their traffic shape and -qcap their queue bound.
-// Every other experiment ignores both.
-var servingExperiments = map[string]bool{
-	"serveN": true,
-	"adaptN": true,
-	"faultN": true,
-}
-
-// validateServingFlags rejects -arrivals/-qcap combinations that would
-// silently no-op: the flags only affect the serving experiments, so asking
-// for them alongside a non-serving experiment (or -bench, whose serving
-// scenarios are fixed) is a mistake, not a preference.
-func validateServingFlags(exp string, bench bool, arrivals string, qcap int) error {
-	if arrivals == "" && qcap == 0 {
-		return nil
-	}
-	set := "-arrivals"
-	if arrivals == "" {
-		set = "-qcap"
-	} else if qcap != 0 {
-		set = "-arrivals/-qcap"
-	}
-	if bench {
-		return fmt.Errorf("%s has no effect with -bench (the benchmark suite fixes its serving scenarios)", set)
-	}
-	if exp == "all" || servingExperiments[exp] {
-		return nil
-	}
-	return fmt.Errorf("%s only affects the serving experiments (serveN, adaptN, faultN), not %q; drop the flag or pick a serving experiment", set, exp)
-}
-
-// pipelineExperiments are the experiment ids whose runs consume the pipeline
-// flags: -plans filters their plan set, -burst and -pipecap override the pump
-// geometry. Every other experiment ignores all three.
-var pipelineExperiments = map[string]bool{
-	"pipeN": true,
-}
-
-// validatePipelineFlags rejects -plans/-burst/-pipecap combinations that
-// would silently no-op, mirroring validateServingFlags: the flags only affect
-// the pipeline experiments, so asking for them alongside anything else (or
-// -bench, whose pipeline scenarios are fixed) is a mistake, not a preference.
-func validatePipelineFlags(exp string, bench bool, plans string, burst, pipeCap int) error {
-	if plans == "" && burst == 0 && pipeCap == 0 {
-		return nil
-	}
-	var set []string
-	if plans != "" {
-		set = append(set, "-plans")
-	}
-	if burst != 0 {
-		set = append(set, "-burst")
-	}
-	if pipeCap != 0 {
-		set = append(set, "-pipecap")
-	}
-	s := strings.Join(set, "/")
-	if bench {
-		return fmt.Errorf("%s has no effect with -bench (the benchmark suite fixes its pipeline scenarios)", s)
-	}
-	if exp == "all" || pipelineExperiments[exp] {
-		return nil
-	}
-	return fmt.Errorf("%s only affects the pipeline experiment (pipeN), not %q; drop the flag or pick the pipeline experiment", s, exp)
-}
-
-// traceExperiments are the experiment ids with a designated trace cell: the
-// one run per experiment that a non-nil Config.Trace records.
-var traceExperiments = map[string]bool{
-	"serveN": true,
-	"adaptN": true,
-	"pipeN":  true,
-	"obsN":   true,
-	"faultN": true,
-}
-
-// metricsExperiments are the experiment ids whose designated cell samples the
-// gauge time series (the serving experiments and the observability replay;
-// pipeN's batch pipelines have no per-worker gauge set).
-var metricsExperiments = map[string]bool{
-	"serveN": true,
-	"adaptN": true,
-	"obsN":   true,
-	"faultN": true,
-}
-
-// validateObsFlags rejects -trace/-metrics/-metrics-interval combinations
-// that would silently produce an empty or meaningless export, mirroring the
-// serving and pipeline flag guards: the sinks record one experiment's
-// designated cell, so they need exactly one experiment that has one, and an
-// interval is meaningless without a metrics file to sample into.
-func validateObsFlags(exp string, bench bool, trace, metrics string, interval int) error {
-	if interval < 0 {
-		return fmt.Errorf("-metrics-interval must be non-negative, got %d", interval)
-	}
-	if interval > 0 && metrics == "" {
-		return fmt.Errorf("-metrics-interval requires -metrics (there is no series to sample into)")
-	}
-	if trace == "" && metrics == "" {
-		return nil
-	}
-	var set []string
-	if trace != "" {
-		set = append(set, "-trace")
-	}
-	if metrics != "" {
-		set = append(set, "-metrics")
-	}
-	s := strings.Join(set, "/")
-	if bench {
-		return fmt.Errorf("%s has no effect with -bench (the benchmark suite runs untraced by design)", s)
-	}
-	if exp == "all" {
-		return fmt.Errorf("%s needs a single experiment, not -exp all (each file holds one experiment's designated cell)", s)
-	}
-	if trace != "" && !traceExperiments[exp] {
-		return fmt.Errorf("-trace only records the serving, pipeline and observability experiments (serveN, adaptN, pipeN, obsN, faultN), not %q", exp)
-	}
-	if metrics != "" && !metricsExperiments[exp] {
-		return fmt.Errorf("-metrics only samples the serving and observability experiments (serveN, adaptN, obsN, faultN), not %q", exp)
-	}
-	return nil
-}
-
-// profExperiments are the experiment ids with a designated profile cell: the
-// one run per experiment that a non-nil Config.Profile attributes.
-var profExperiments = map[string]bool{
-	"profN":  true,
-	"serveN": true,
-}
-
-// validateProfFlags rejects -profile/-flame combinations that would silently
-// produce an empty export, mirroring validateObsFlags: the profiler records
-// one experiment's designated cell, so it needs exactly one experiment that
-// has one.
-func validateProfFlags(exp string, bench bool, profPath, flamePath string) error {
-	if profPath == "" && flamePath == "" {
-		return nil
-	}
-	var set []string
-	if profPath != "" {
-		set = append(set, "-profile")
-	}
-	if flamePath != "" {
-		set = append(set, "-flame")
-	}
-	s := strings.Join(set, "/")
-	if bench {
-		return fmt.Errorf("%s has no effect with -bench (the benchmark suite runs unprofiled by design)", s)
-	}
-	if exp == "all" {
-		return fmt.Errorf("%s needs a single experiment, not -exp all (each file holds one experiment's designated cell)", s)
-	}
-	if !profExperiments[exp] {
-		return fmt.Errorf("%s only records the profiling experiments (profN, serveN), not %q", s, exp)
-	}
-	return nil
-}
-
-// faultExperiments are the experiment ids whose runs consume the fault
-// flags: -faults scripts their chaos schedule, -deadline and -slo override
-// the derived cycle budgets. Every other experiment ignores all three.
-var faultExperiments = map[string]bool{
-	"faultN": true,
-}
-
-// validateFaultFlags rejects -faults/-deadline/-slo combinations that would
-// silently no-op, mirroring the other flag guards, and parses the -faults
-// spec up front so a malformed schedule fails before any workload is built.
-func validateFaultFlags(exp string, bench bool, faults string, slo, deadline int) error {
-	if deadline < 0 {
-		return fmt.Errorf("-deadline must be non-negative, got %d", deadline)
-	}
-	if slo < 0 {
-		return fmt.Errorf("-slo must be non-negative, got %d", slo)
-	}
-	if faults != "" {
-		if _, err := fault.ParseSpec(faults); err != nil {
-			return fmt.Errorf("-faults: %v", err)
-		}
-	}
-	if faults == "" && slo == 0 && deadline == 0 {
-		return nil
-	}
-	var set []string
-	if faults != "" {
-		set = append(set, "-faults")
-	}
-	if deadline != 0 {
-		set = append(set, "-deadline")
-	}
-	if slo != 0 {
-		set = append(set, "-slo")
-	}
-	s := strings.Join(set, "/")
-	if bench {
-		return fmt.Errorf("%s has no effect with -bench (the benchmark suite fixes its scenarios)", s)
-	}
-	if exp == "all" || faultExperiments[exp] {
-		return nil
-	}
-	return fmt.Errorf("%s only affects the fault experiment (faultN), not %q; drop the flag or pick the fault experiment", s, exp)
 }
 
 // listExperiments prints every registered experiment id and title.

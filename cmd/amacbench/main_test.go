@@ -3,8 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,283 +13,28 @@ import (
 	"amac/internal/obs"
 )
 
-// TestValidateServingFlags: -arrivals/-qcap must be rejected whenever they
-// would silently no-op — any non-serving experiment, and the benchmark
-// suite — and accepted for the serving experiments and -exp all.
-func TestValidateServingFlags(t *testing.T) {
-	cases := []struct {
-		name     string
-		exp      string
-		bench    bool
-		arrivals string
-		qcap     int
-		wantErr  string // substring; empty means valid
-	}{
-		{name: "no serving flags", exp: "fig6"},
-		{name: "serveN with arrivals", exp: "serveN", arrivals: "bursty"},
-		{name: "serveN with qcap", exp: "serveN", qcap: 64},
-		{name: "adaptN with both", exp: "adaptN", arrivals: "poisson", qcap: 32},
-		{name: "all includes serving", exp: "all", arrivals: "deterministic"},
-		{name: "fig6 with arrivals", exp: "fig6", arrivals: "bursty", wantErr: "-arrivals only affects"},
-		{name: "fig5b with qcap", exp: "fig5b", qcap: 8, wantErr: "-qcap only affects"},
-		{name: "table3 with both", exp: "table3", arrivals: "poisson", qcap: 4, wantErr: "-arrivals/-qcap only affects"},
-		{name: "scaleN with qcap", exp: "scaleN", qcap: 16, wantErr: "only affects the serving experiments"},
-		{name: "bench with arrivals", bench: true, arrivals: "bursty", wantErr: "no effect with -bench"},
-		{name: "bench with qcap", bench: true, qcap: 8, wantErr: "no effect with -bench"},
-		{name: "bench without serving flags", bench: true},
-	}
+// flagCase is one amacbench command line and the verdict on it.
+type flagCase struct {
+	name    string
+	args    []string
+	wantErr string // substring; empty means valid
+}
+
+// args splits a command line on spaces.
+func args(line string) []string { return strings.Fields(line) }
+
+// runFlagCases feeds each command line through the check main runs before
+// any work: flag parsing, configure's explicit-zero and -metrics-interval
+// rules, and experiments.Validate over the selected experiments.
+func runFlagCases(t *testing.T, cases []flagCase) {
+	t.Helper()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateServingFlags(tc.exp, tc.bench, tc.arrivals, tc.qcap)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("expected an error containing %q, got nil", tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-// TestServingExperimentsRegistered: the validator's notion of which
-// experiments consume the serving flags must match the registry, so a
-// future serving experiment cannot silently fall out of the allowlist.
-func TestServingExperimentsRegistered(t *testing.T) {
-	for id := range servingExperiments {
-		if err := validateServingFlags(id, false, "bursty", 8); err != nil {
-			t.Fatalf("serving experiment %q rejected: %v", id, err)
-		}
-	}
-}
-
-// TestValidatePipelineFlags: -plans/-burst/-pipecap must be rejected whenever
-// they would silently no-op — any non-pipeline experiment, and the benchmark
-// suite — and accepted for the pipeline experiment and -exp all.
-func TestValidatePipelineFlags(t *testing.T) {
-	cases := []struct {
-		name    string
-		exp     string
-		bench   bool
-		plans   string
-		burst   int
-		pipeCap int
-		wantErr string // substring; empty means valid
-	}{
-		{name: "no pipeline flags", exp: "fig6"},
-		{name: "pipeN with plans", exp: "pipeN", plans: "mixed"},
-		{name: "pipeN with burst", exp: "pipeN", burst: 32},
-		{name: "pipeN with pipecap", exp: "pipeN", pipeCap: 64},
-		{name: "pipeN with all three", exp: "pipeN", plans: "bst,chain", burst: 16, pipeCap: 32},
-		{name: "all includes pipeline", exp: "all", burst: 16},
-		{name: "fig6 with plans", exp: "fig6", plans: "mixed", wantErr: "-plans only affects"},
-		{name: "fig5b with burst", exp: "fig5b", burst: 8, wantErr: "-burst only affects"},
-		{name: "serveN with pipecap", exp: "serveN", pipeCap: 8, wantErr: "-pipecap only affects"},
-		{name: "table3 with plans and burst", exp: "table3", plans: "agg", burst: 8, wantErr: "-plans/-burst only affects"},
-		{name: "scaleN with all three", exp: "scaleN", plans: "bst", burst: 4, pipeCap: 8, wantErr: "-plans/-burst/-pipecap only affects"},
-		{name: "bench with plans", bench: true, plans: "mixed", wantErr: "no effect with -bench"},
-		{name: "bench with burst", bench: true, burst: 8, wantErr: "no effect with -bench"},
-		{name: "bench without pipeline flags", bench: true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := validatePipelineFlags(tc.exp, tc.bench, tc.plans, tc.burst, tc.pipeCap)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("expected an error containing %q, got nil", tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-// TestPipelineExperimentsRegistered mirrors the serving allowlist check for
-// the pipeline flags.
-func TestPipelineExperimentsRegistered(t *testing.T) {
-	for id := range pipelineExperiments {
-		if err := validatePipelineFlags(id, false, "mixed", 8, 16); err != nil {
-			t.Fatalf("pipeline experiment %q rejected: %v", id, err)
-		}
-	}
-}
-
-// TestValidateObsFlags: -trace/-metrics/-metrics-interval must be rejected
-// whenever they would silently produce an empty or meaningless export — an
-// experiment without a designated cell, -exp all, the benchmark suite, or an
-// interval with no metrics file — and accepted for the allowlisted
-// experiments.
-func TestValidateObsFlags(t *testing.T) {
-	cases := []struct {
-		name     string
-		exp      string
-		bench    bool
-		trace    string
-		metrics  string
-		interval int
-		wantErr  string // substring; empty means valid
-	}{
-		{name: "no obs flags", exp: "fig6"},
-		{name: "serveN with trace", exp: "serveN", trace: "t.json"},
-		{name: "adaptN with trace and metrics", exp: "adaptN", trace: "t.json", metrics: "m.jsonl"},
-		{name: "pipeN with trace", exp: "pipeN", trace: "t.json"},
-		{name: "obsN with everything", exp: "obsN", trace: "t.json", metrics: "m.jsonl", interval: 2048},
-		{name: "obsN metrics only", exp: "obsN", metrics: "m.jsonl"},
-		{name: "negative interval", exp: "obsN", metrics: "m.jsonl", interval: -1, wantErr: "must be non-negative"},
-		{name: "interval without metrics", exp: "obsN", trace: "t.json", interval: 2048, wantErr: "-metrics-interval requires -metrics"},
-		{name: "trace with fig6", exp: "fig6", trace: "t.json", wantErr: "-trace only records"},
-		{name: "metrics with fig5b", exp: "fig5b", metrics: "m.jsonl", wantErr: "-metrics only samples"},
-		{name: "metrics with pipeN", exp: "pipeN", metrics: "m.jsonl", wantErr: "-metrics only samples"},
-		{name: "trace with exp all", exp: "all", trace: "t.json", wantErr: "not -exp all"},
-		{name: "metrics with exp all", exp: "all", metrics: "m.jsonl", wantErr: "not -exp all"},
-		{name: "bench with trace", bench: true, trace: "t.json", wantErr: "no effect with -bench"},
-		{name: "bench with metrics", bench: true, metrics: "m.jsonl", wantErr: "no effect with -bench"},
-		{name: "bench without obs flags", bench: true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := validateObsFlags(tc.exp, tc.bench, tc.trace, tc.metrics, tc.interval)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("expected an error containing %q, got nil", tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-// TestObsExperimentsRegistered: every experiment in the trace and metrics
-// allowlists must exist in the registry and be accepted by the validator, so
-// a renamed experiment cannot leave a dangling allowlist entry.
-func TestObsExperimentsRegistered(t *testing.T) {
-	for id := range traceExperiments {
-		if _, ok := experiments.Find(id); !ok {
-			t.Fatalf("trace allowlist entry %q is not a registered experiment", id)
-		}
-		if err := validateObsFlags(id, false, "t.json", "", 0); err != nil {
-			t.Fatalf("trace experiment %q rejected: %v", id, err)
-		}
-	}
-	for id := range metricsExperiments {
-		if _, ok := experiments.Find(id); !ok {
-			t.Fatalf("metrics allowlist entry %q is not a registered experiment", id)
-		}
-		if err := validateObsFlags(id, false, "", "m.jsonl", 0); err != nil {
-			t.Fatalf("metrics experiment %q rejected: %v", id, err)
-		}
-	}
-}
-
-// TestValidateProfFlags: -profile/-flame must be rejected whenever they
-// would silently produce an empty export — an experiment without a
-// designated profile cell, -exp all, or the benchmark suite — and accepted
-// for the allowlisted experiments.
-func TestValidateProfFlags(t *testing.T) {
-	cases := []struct {
-		name    string
-		exp     string
-		bench   bool
-		prof    string
-		flame   string
-		wantErr string // substring; empty means valid
-	}{
-		{name: "no prof flags", exp: "fig6"},
-		{name: "profN with profile", exp: "profN", prof: "p.pb.gz"},
-		{name: "profN with flame", exp: "profN", flame: "f.txt"},
-		{name: "profN with both", exp: "profN", prof: "p.pb.gz", flame: "f.txt"},
-		{name: "serveN with flame", exp: "serveN", flame: "f.txt"},
-		{name: "profile with fig6", exp: "fig6", prof: "p.pb.gz", wantErr: "-profile only records"},
-		{name: "flame with obsN", exp: "obsN", flame: "f.txt", wantErr: "-flame only records"},
-		{name: "both with adaptN", exp: "adaptN", prof: "p.pb.gz", flame: "f.txt", wantErr: "-profile/-flame only records"},
-		{name: "profile with exp all", exp: "all", prof: "p.pb.gz", wantErr: "not -exp all"},
-		{name: "bench with flame", bench: true, flame: "f.txt", wantErr: "no effect with -bench"},
-		{name: "bench without prof flags", bench: true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := validateProfFlags(tc.exp, tc.bench, tc.prof, tc.flame)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("expected an error containing %q, got nil", tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-// TestProfExperimentsRegistered mirrors the obs allowlist check for the
-// profiling flags: every allowlisted id must exist in the registry and be
-// accepted by the validator.
-func TestProfExperimentsRegistered(t *testing.T) {
-	for id := range profExperiments {
-		if _, ok := experiments.Find(id); !ok {
-			t.Fatalf("profile allowlist entry %q is not a registered experiment", id)
-		}
-		if err := validateProfFlags(id, false, "p.pb.gz", "f.txt"); err != nil {
-			t.Fatalf("profiled experiment %q rejected: %v", id, err)
-		}
-	}
-}
-
-// TestValidateExplicitZero: knobs whose zero value means "use the default"
-// must reject an explicit `-flag 0` on the command line — it would silently
-// behave as if the flag were absent — while an unset flag, a nonzero value,
-// or an explicit zero on an unrelated flag all pass.
-func TestValidateExplicitZero(t *testing.T) {
-	cases := []struct {
-		name    string
-		args    []string
-		wantErr string // substring; empty means valid
-	}{
-		{name: "no flags", args: nil},
-		{name: "nonzero qcap", args: []string{"-qcap", "64"}},
-		{name: "nonzero deadline and slo", args: []string{"-deadline", "6000", "-slo", "8000"}},
-		{name: "unrelated zero", args: []string{"-window", "0"}},
-		{name: "explicit zero qcap", args: []string{"-qcap", "0"}, wantErr: "-qcap 0 is meaningless"},
-		{name: "explicit zero deadline", args: []string{"-deadline", "0"}, wantErr: "-deadline 0 is meaningless"},
-		{name: "explicit zero slo", args: []string{"-slo", "0"}, wantErr: "-slo 0 is meaningless"},
-		{name: "explicit zero pipecap", args: []string{"-pipecap", "0"}, wantErr: "-pipecap 0 is meaningless"},
-		{name: "explicit zero metrics-interval", args: []string{"-metrics-interval", "0"}, wantErr: "-metrics-interval 0 is meaningless"},
-		{name: "zero among valid flags", args: []string{"-qcap", "32", "-pipecap", "0"}, wantErr: "-pipecap 0 is meaningless"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			fs := flag.NewFlagSet("amacbench", flag.ContinueOnError)
-			fs.Int("window", 0, "")
-			fs.Int("qcap", 0, "")
-			fs.Int("pipecap", 0, "")
-			fs.Int("metrics-interval", 0, "")
-			fs.Int("deadline", 0, "")
-			fs.Int("slo", 0, "")
+			fs, o := newFlags()
 			if err := fs.Parse(tc.args); err != nil {
 				t.Fatal(err)
 			}
-			err := validateExplicitZero(fs.Visit)
+			_, err := o.configure(fs.Visit)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -305,70 +51,166 @@ func TestValidateExplicitZero(t *testing.T) {
 	}
 }
 
-// TestValidateFaultFlags: -faults/-deadline/-slo must be rejected whenever
-// they would silently no-op — any non-fault experiment, and the benchmark
-// suite — or carry a malformed schedule or negative budget; and accepted for
-// the fault experiment and -exp all.
+// TestValidateServingFlags: -arrivals/-qcap are accepted for the experiments
+// that read them (serveN, adaptN, faultN, pipeN) and -exp all, and rejected
+// wherever they would silently no-op, -bench included.
+func TestValidateServingFlags(t *testing.T) {
+	runFlagCases(t, []flagCase{
+		{name: "no serving flags", args: args("-exp fig6")},
+		{name: "serveN with arrivals", args: args("-exp serveN -arrivals bursty")},
+		{name: "serveN with qcap", args: args("-exp serveN -qcap 64")},
+		{name: "adaptN with both", args: args("-exp adaptN -arrivals poisson -qcap 32")},
+		{name: "pipeN with both", args: args("-exp pipeN -scale tiny -arrivals bursty -qcap 64")},
+		{name: "pipeN with arrivals", args: args("-exp pipeN -arrivals deterministic")},
+		{name: "all includes serving", args: args("-exp all -arrivals deterministic")},
+		{name: "unknown arrivals", args: args("-exp serveN -arrivals nope"), wantErr: "unknown arrival process"},
+		{name: "negative qcap", args: args("-exp serveN -qcap -1"), wantErr: "QueueCap (-qcap) must be non-negative"},
+		{name: "fig6 with arrivals", args: args("-exp fig6 -arrivals bursty"), wantErr: "-arrivals) has no effect on fig6"},
+		{name: "fig5b with qcap", args: args("-exp fig5b -qcap 8"), wantErr: "-qcap) has no effect on fig5b"},
+		{name: "table3 with both", args: args("-exp table3 -arrivals poisson -qcap 4"), wantErr: "has no effect on table3"},
+		{name: "scaleN with qcap", args: args("-exp scaleN -qcap 16"), wantErr: "only adaptN, faultN, pipeN, serveN read it"},
+		{name: "bench with arrivals", args: args("-bench -arrivals bursty"), wantErr: "no effect without an experiment"},
+		{name: "bench with qcap", args: args("-bench -qcap 8"), wantErr: "no effect without an experiment"},
+		{name: "bench without serving flags", args: args("-bench")},
+	})
+}
+
+// TestValidatePipelineFlags: -plans/-burst/-pipecap are accepted for pipeN
+// and -exp all, and rejected wherever they would silently no-op.
+func TestValidatePipelineFlags(t *testing.T) {
+	runFlagCases(t, []flagCase{
+		{name: "no pipeline flags", args: args("-exp fig6")},
+		{name: "pipeN with plans", args: args("-exp pipeN -plans mixed")},
+		{name: "pipeN with burst", args: args("-exp pipeN -burst 32")},
+		{name: "pipeN with pipecap", args: args("-exp pipeN -pipecap 64")},
+		{name: "pipeN with all three", args: args("-exp pipeN -plans bst,chain -burst 16 -pipecap 32")},
+		{name: "all includes pipeline", args: args("-exp all -burst 16")},
+		{name: "negative burst", args: args("-exp pipeN -burst -2"), wantErr: "Burst (-burst) must be non-negative"},
+		{name: "negative pipecap", args: args("-exp pipeN -pipecap -2"), wantErr: "PipeCap (-pipecap) must be non-negative"},
+		{name: "fig6 with plans", args: args("-exp fig6 -plans mixed"), wantErr: "-plans) has no effect on fig6"},
+		{name: "fig5b with burst", args: args("-exp fig5b -burst 8"), wantErr: "-burst) has no effect on fig5b"},
+		{name: "serveN with pipecap", args: args("-exp serveN -pipecap 8"), wantErr: "-pipecap) has no effect on serveN"},
+		{name: "table3 with plans and burst", args: args("-exp table3 -plans agg -burst 8"), wantErr: "has no effect on table3"},
+		{name: "scaleN with all three", args: args("-exp scaleN -plans bst -burst 4 -pipecap 8"), wantErr: "only pipeN read it"},
+		{name: "bench with plans", args: args("-bench -plans mixed"), wantErr: "no effect without an experiment"},
+		{name: "bench with burst", args: args("-bench -burst 8"), wantErr: "no effect without an experiment"},
+		{name: "bench without pipeline flags", args: args("-bench")},
+	})
+}
+
+// TestValidateObsFlags: -trace/-metrics need exactly one experiment that
+// records them, and -metrics-interval needs -metrics; -exp all and -bench
+// are rejected.
+func TestValidateObsFlags(t *testing.T) {
+	runFlagCases(t, []flagCase{
+		{name: "no obs flags", args: args("-exp fig6")},
+		{name: "serveN with trace", args: args("-exp serveN -trace t.json")},
+		{name: "adaptN with trace and metrics", args: args("-exp adaptN -trace t.json -metrics m.jsonl")},
+		{name: "pipeN with trace", args: args("-exp pipeN -trace t.json")},
+		{name: "faultN with trace and metrics", args: args("-exp faultN -trace t.json -metrics m.jsonl")},
+		{name: "obsN with everything", args: args("-exp obsN -trace t.json -metrics m.jsonl -metrics-interval 2048")},
+		{name: "obsN metrics only", args: args("-exp obsN -metrics m.jsonl")},
+		{name: "negative interval", args: args("-exp obsN -metrics m.jsonl -metrics-interval -1"), wantErr: "-metrics-interval must be positive"},
+		{name: "interval without metrics", args: args("-exp obsN -trace t.json -metrics-interval 2048"), wantErr: "needs -metrics (got 2048, -metrics \"\")"},
+		{name: "trace with fig6", args: args("-exp fig6 -trace t.json"), wantErr: "Trace (-trace) has no effect on fig6"},
+		{name: "metrics with fig5b", args: args("-exp fig5b -metrics m.jsonl"), wantErr: "Metrics (-metrics) has no effect on fig5b"},
+		{name: "metrics with pipeN", args: args("-exp pipeN -metrics m.jsonl"), wantErr: "Metrics (-metrics) has no effect on pipeN"},
+		{name: "trace with exp all", args: args("-exp all -trace t.json"), wantErr: "needs exactly one experiment"},
+		{name: "metrics with exp all", args: args("-exp all -metrics m.jsonl"), wantErr: "needs exactly one experiment"},
+		{name: "bench with trace", args: args("-bench -trace t.json"), wantErr: "no effect without an experiment"},
+		{name: "bench with metrics", args: args("-bench -metrics m.jsonl"), wantErr: "no effect without an experiment"},
+		{name: "bench without obs flags", args: args("-bench")},
+	})
+}
+
+// TestValidateProfFlags: -profile/-flame need exactly one experiment with a
+// designated profile cell (profN, serveN).
+func TestValidateProfFlags(t *testing.T) {
+	runFlagCases(t, []flagCase{
+		{name: "no prof flags", args: args("-exp fig6")},
+		{name: "profN with profile", args: args("-exp profN -profile p.pb.gz")},
+		{name: "profN with flame", args: args("-exp profN -flame f.txt")},
+		{name: "profN with both", args: args("-exp profN -profile p.pb.gz -flame f.txt")},
+		{name: "serveN with flame", args: args("-exp serveN -flame f.txt")},
+		{name: "profile with fig6", args: args("-exp fig6 -profile p.pb.gz"), wantErr: "Profile (-profile/-flame) has no effect on fig6"},
+		{name: "flame with obsN", args: args("-exp obsN -flame f.txt"), wantErr: "has no effect on obsN"},
+		{name: "both with adaptN", args: args("-exp adaptN -profile p.pb.gz -flame f.txt"), wantErr: "only profN, serveN read it"},
+		{name: "profile with exp all", args: args("-exp all -profile p.pb.gz"), wantErr: "needs exactly one experiment"},
+		{name: "bench with flame", args: args("-bench -flame f.txt"), wantErr: "no effect without an experiment"},
+		{name: "bench without prof flags", args: args("-bench")},
+	})
+}
+
+// TestValidateExplicitZero: knobs whose zero value means "use the default"
+// reject an explicit `-flag 0` — it would silently behave as if the flag
+// were absent — while an unset flag, a nonzero value, or an explicit zero on
+// an unrelated flag all pass.
+func TestValidateExplicitZero(t *testing.T) {
+	runFlagCases(t, []flagCase{
+		{name: "no flags", args: args("-exp fig6")},
+		{name: "nonzero qcap", args: args("-exp serveN -qcap 64")},
+		{name: "nonzero deadline and slo", args: args("-exp faultN -deadline 6000 -slo 8000")},
+		{name: "unrelated zero", args: args("-exp fig6 -window 0")},
+		{name: "explicit zero qcap", args: args("-exp serveN -qcap 0"), wantErr: "-qcap 0 is meaningless"},
+		{name: "explicit zero deadline", args: args("-exp faultN -deadline 0"), wantErr: "-deadline 0 is meaningless"},
+		{name: "explicit zero slo", args: args("-exp faultN -slo 0"), wantErr: "-slo 0 is meaningless"},
+		{name: "explicit zero pipecap", args: args("-exp pipeN -pipecap 0"), wantErr: "-pipecap 0 is meaningless"},
+		{name: "explicit zero metrics-interval", args: args("-exp obsN -metrics m.jsonl -metrics-interval 0"), wantErr: "-metrics-interval 0 is meaningless"},
+		{name: "zero among valid flags", args: args("-exp pipeN -qcap 32 -pipecap 0"), wantErr: "-pipecap 0 is meaningless"},
+	})
+}
+
+// TestValidateFaultFlags: -faults/-deadline/-slo are accepted for faultN and
+// -exp all, and rejected wherever they would silently no-op or carry a
+// malformed schedule or a negative budget.
 func TestValidateFaultFlags(t *testing.T) {
-	cases := []struct {
-		name     string
-		exp      string
-		bench    bool
-		faults   string
-		slo      int
-		deadline int
-		wantErr  string // substring; empty means valid
-	}{
-		{name: "no fault flags", exp: "fig6"},
-		{name: "faultN plain", exp: "faultN"},
-		{name: "faultN with scripted schedule", exp: "faultN", faults: "slow:0@20000+40000x4,crash:1@90000+30000"},
-		{name: "faultN with random schedule", exp: "faultN", faults: "rand:7:3"},
-		{name: "faultN with deadline", exp: "faultN", deadline: 6000},
-		{name: "faultN with slo", exp: "faultN", slo: 8000},
-		{name: "all includes fault", exp: "all", faults: "freeze:0@1000+2000"},
-		{name: "malformed schedule", exp: "faultN", faults: "slow:0@bogus", wantErr: "-faults"},
-		{name: "slow without factor", exp: "faultN", faults: "slow:0@1000+2000", wantErr: "-faults"},
-		{name: "negative deadline", exp: "faultN", deadline: -1, wantErr: "-deadline must be non-negative"},
-		{name: "negative slo", exp: "faultN", slo: -5, wantErr: "-slo must be non-negative"},
-		{name: "fig6 with faults", exp: "fig6", faults: "rand:1", wantErr: "-faults only affects"},
-		{name: "serveN with deadline", exp: "serveN", deadline: 4000, wantErr: "-deadline only affects"},
-		{name: "serveN with slo", exp: "serveN", slo: 4000, wantErr: "-slo only affects"},
-		{name: "table3 with all three", exp: "table3", faults: "rand:1", slo: 2, deadline: 3, wantErr: "-faults/-deadline/-slo only affects"},
-		{name: "bench with faults", bench: true, faults: "rand:1", wantErr: "no effect with -bench"},
-		{name: "bench with slo", bench: true, slo: 100, wantErr: "no effect with -bench"},
-		{name: "bench without fault flags", bench: true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := validateFaultFlags(tc.exp, tc.bench, tc.faults, tc.slo, tc.deadline)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("expected an error containing %q, got nil", tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
-			}
-		})
-	}
+	runFlagCases(t, []flagCase{
+		{name: "no fault flags", args: args("-exp fig6")},
+		{name: "faultN plain", args: args("-exp faultN")},
+		{name: "faultN with scripted schedule", args: args("-exp faultN -faults slow:0@20000+40000x4,crash:1@90000+30000")},
+		{name: "faultN with random schedule", args: args("-exp faultN -faults rand:7:3")},
+		{name: "faultN with deadline", args: args("-exp faultN -deadline 6000")},
+		{name: "faultN with slo", args: args("-exp faultN -slo 8000")},
+		{name: "all includes fault", args: args("-exp all -faults freeze:0@1000+2000")},
+		{name: "malformed schedule", args: args("-exp faultN -faults slow:0@bogus"), wantErr: "Faults (-faults)"},
+		{name: "slow without factor", args: args("-exp faultN -faults slow:0@1000+2000"), wantErr: "Faults (-faults)"},
+		{name: "negative deadline", args: args("-exp faultN -deadline -1"), wantErr: "Deadline (-deadline) must be non-negative"},
+		{name: "negative slo", args: args("-exp faultN -slo -5"), wantErr: "SLOBudget (-slo) must be non-negative"},
+		{name: "fig6 with faults", args: args("-exp fig6 -faults rand:1"), wantErr: "Faults (-faults) has no effect on fig6"},
+		{name: "serveN with deadline", args: args("-exp serveN -deadline 4000"), wantErr: "Deadline (-deadline) has no effect on serveN"},
+		{name: "serveN with slo", args: args("-exp serveN -slo 4000"), wantErr: "SLOBudget (-slo) has no effect on serveN"},
+		{name: "table3 with all three", args: args("-exp table3 -faults rand:1 -slo 2 -deadline 3"), wantErr: "only faultN read it"},
+		{name: "bench with faults", args: args("-bench -faults rand:1"), wantErr: "no effect without an experiment"},
+		{name: "bench with slo", args: args("-bench -slo 100"), wantErr: "no effect without an experiment"},
+		{name: "bench without fault flags", args: args("-bench")},
+	})
 }
 
-// TestFaultExperimentsRegistered mirrors the serving allowlist check for the
-// fault flags: every allowlisted id must exist in the registry and be
-// accepted by the validator.
-func TestFaultExperimentsRegistered(t *testing.T) {
-	for id := range faultExperiments {
-		if _, ok := experiments.Find(id); !ok {
-			t.Fatalf("fault allowlist entry %q is not a registered experiment", id)
-		}
-		if err := validateFaultFlags(id, false, "rand:3", 100, 100); err != nil {
-			t.Fatalf("fault experiment %q rejected: %v", id, err)
-		}
-	}
+// TestValidatePipePlans: every -plans token must select at least one pipeN
+// plan; matching is a case-insensitive substring over the plan names.
+func TestValidatePipePlans(t *testing.T) {
+	runFlagCases(t, []flagCase{
+		{name: "empty filter", args: args("-exp pipeN")},
+		{name: "mixed", args: args("-exp pipeN -plans mixed")},
+		{name: "case-insensitive", args: args("-exp pipeN -plans BST")},
+		{name: "multiple tokens", args: []string{"-exp", "pipeN", "-plans", "agg, chain"}},
+		{name: "full name", args: []string{"-exp", "pipeN", "-plans", "probe→BST filter (steady)"}},
+		{name: "unknown token", args: args("-exp pipeN -plans mixed,nosuchplan"), wantErr: "matches no pipeN plan"},
+		{name: "empty token", args: args("-exp pipeN -plans mixed,,agg"), wantErr: "empty token"},
+	})
+}
+
+// TestValidateScaleAndCounts: the unscoped settings are checked for every
+// experiment, -bench included.
+func TestValidateScaleAndCounts(t *testing.T) {
+	runFlagCases(t, []flagCase{
+		{name: "tiny", args: args("-exp fig6 -scale tiny")},
+		{name: "unknown scale", args: args("-exp fig6 -scale huge"), wantErr: "unknown scale"},
+		{name: "bench unknown scale", args: args("-bench -scale huge"), wantErr: "unknown scale"},
+		{name: "negative window", args: args("-exp fig6 -window -1"), wantErr: "Window (-window) must be non-negative"},
+		{name: "negative workers", args: args("-exp scaleN -workers -1"), wantErr: "Workers (-workers) must be non-negative"},
+		{name: "negative parallel", args: args("-exp all -parallel -1"), wantErr: "Parallel (-parallel) must be non-negative"},
+	})
 }
 
 // TestTraceJSONRoundTrip runs the observability replay with a trace attached
@@ -446,37 +288,37 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestValidatePipePlans: every -plans token must select at least one pipeN
-// plan; matching is a case-insensitive substring over the plan names.
-func TestValidatePipePlans(t *testing.T) {
-	cases := []struct {
-		name    string
-		filter  string
-		wantErr string
-	}{
-		{name: "empty filter", filter: ""},
-		{name: "mixed", filter: "mixed"},
-		{name: "case-insensitive", filter: "BST"},
-		{name: "multiple tokens", filter: "agg, chain"},
-		{name: "full name", filter: "probe→BST filter (steady)"},
-		{name: "unknown token", filter: "mixed,nosuchplan", wantErr: "matches no pipeN plan"},
-		{name: "empty token", filter: "mixed,,agg", wantErr: "empty token"},
+// TestBenchGateSimCycles: the gate passes when every shared entry's
+// simulated cycles match the baseline, and fails, naming the entry, when one
+// differs; entries without cycles on one side are compared on ns/op only.
+func TestBenchGateSimCycles(t *testing.T) {
+	base := benchFile{Scale: "tiny", Benchmarks: []benchEntry{
+		{Name: "probe-uniform/AMAC", NsPerOp: 100, SimCycles: 5000},
+		{Name: "groupby/GP", NsPerOp: 100, SimCycles: 7000},
+		{Name: "exp/fig6", NsPerOp: 100},
+	}}
+	buf, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := experiments.ValidatePipePlans(tc.filter)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("expected an error containing %q, got nil", tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
-			}
-		})
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	current := benchFile{Scale: "tiny", Benchmarks: []benchEntry{
+		{Name: "probe-uniform/AMAC", NsPerOp: 150, SimCycles: 5000},
+		{Name: "groupby/GP", NsPerOp: 90, SimCycles: 7000},
+		{Name: "exp/fig6", NsPerOp: 120},
+	}}
+	if err := checkBenchGate(current, path); err != nil {
+		t.Fatalf("equal cycles should pass: %v", err)
+	}
+	current.Benchmarks[1].SimCycles = 7001
+	err = checkBenchGate(current, path)
+	if err == nil || !strings.Contains(err.Error(), "groupby/GP: 7001 simulated cycles vs baseline 7000") {
+		t.Fatalf("differing cycles should fail naming groupby/GP, got %v", err)
+	}
+	if strings.Contains(err.Error(), "probe-uniform/AMAC") {
+		t.Fatalf("only the differing entry should be named: %v", err)
 	}
 }

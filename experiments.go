@@ -10,6 +10,11 @@ import (
 type Experiment = experiments.Descriptor
 
 // ExperimentConfig parameterizes an experiment run (scale, seed, window).
+// RunExperiment checks it before any work: Scale must be empty or a known
+// scale, no count may be negative, Arrivals, Plans and Faults must parse,
+// each scoped setting (the serving, pipeline and fault knobs and the Trace,
+// Metrics and Profile sinks) must be one the experiment reads, per its
+// Experiment.Reads. Bad input returns an error and never panics.
 type ExperimentConfig = experiments.Config
 
 // Scale selects experiment dataset sizes.
@@ -30,7 +35,12 @@ type ResultTable = table.Table
 func Experiments() []Experiment { return experiments.Registry() }
 
 // RunExperiment regenerates the artifact with the given id ("fig5b",
-// "table3", ...). See EXPERIMENTS.md for the per-experiment index.
+// "table3", ...). See EXPERIMENTS.md for the per-experiment index. An
+// unknown id or a cfg that fails the checks listed on ExperimentConfig
+// returns an error before any work is done.
 func RunExperiment(id string, cfg ExperimentConfig) ([]*ResultTable, error) {
+	if err := experiments.Validate(cfg, id); err != nil {
+		return nil, err
+	}
 	return experiments.Run(id, cfg)
 }

@@ -165,9 +165,6 @@ func (e *StreamEngine[S]) Stats() RunStats { return e.stats }
 // and every in-flight lookup retired).
 func (e *StreamEngine[S]) Done() bool { return e.done }
 
-// Live returns the number of in-flight requests.
-func (e *StreamEngine[S]) Live() int { return e.live }
-
 // applyWidth moves the admission bound to target, draining surplus slots.
 func (e *StreamEngine[S]) applyWidth(target int) {
 	if target == e.admit {

@@ -16,6 +16,7 @@ func init() {
 	register(Descriptor{
 		ID:    "adaptN",
 		Title: "Adaptive execution: online technique selection and dynamic AMAC width versus every static configuration",
+		Reads: Serving | Trace | Metrics,
 		Run:   adaptN,
 	})
 }

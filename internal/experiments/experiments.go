@@ -8,11 +8,15 @@ package experiments
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
+	"strings"
 
+	"amac/internal/fault"
 	"amac/internal/obs"
 	"amac/internal/prof"
+	"amac/internal/serve"
 	"amac/internal/table"
 )
 
@@ -32,16 +36,6 @@ const (
 	// and tens of gigabytes of memory.
 	Paper Scale = "paper"
 )
-
-// ParseScale validates a scale name.
-func ParseScale(s string) (Scale, error) {
-	switch Scale(s) {
-	case Tiny, Small, Paper:
-		return Scale(s), nil
-	default:
-		return Small, fmt.Errorf("experiments: unknown scale %q (want tiny, small or paper)", s)
-	}
-}
 
 // Config parameterizes an experiment run.
 type Config struct {
@@ -73,7 +67,7 @@ type Config struct {
 	Parallel int
 	// Plans filters the pipeline experiment (pipeN) to the plans whose names
 	// contain any of the comma-separated, case-insensitive tokens; empty
-	// runs every plan. Validate with ValidatePipePlans.
+	// runs every plan. Validate rejects a token that matches no plan.
 	Plans string
 	// Burst overrides the pipeline experiment's pump lease size (admissions
 	// per upstream lease); zero keeps the pipeline default.
@@ -232,6 +226,60 @@ func (c Config) sizes() sizes {
 	}
 }
 
+// Settings is a set of the scoped Config settings: the ones only some
+// experiments read. Scale, Seed, Window, Workers and Parallel are read by
+// every experiment that has a use for them and are not scoped.
+type Settings uint16
+
+// The scoped settings, one bit per Config field.
+const (
+	Arrivals Settings = 1 << iota
+	QueueCap
+	Plans
+	Burst
+	PipeCap
+	Faults
+	Deadline
+	SLOBudget
+	Trace
+	Metrics
+	Profile
+
+	// Serving, Pipeline and Sinks group the serving pair, the pipeline trio
+	// and the observation sinks.
+	Serving  = Arrivals | QueueCap
+	Pipeline = Plans | Burst | PipeCap
+	Sinks    = Trace | Metrics | Profile
+)
+
+// settingNames names each scoped setting, in bit order, by its Config field
+// and its amacbench flag.
+var settingNames = [...]string{
+	"Arrivals (-arrivals)", "QueueCap (-qcap)",
+	"Plans (-plans)", "Burst (-burst)", "PipeCap (-pipecap)",
+	"Faults (-faults)", "Deadline (-deadline)", "SLOBudget (-slo)",
+	"Trace (-trace)", "Metrics (-metrics)", "Profile (-profile/-flame)",
+}
+
+// name names the lowest setting in s by its Config field and amacbench flag.
+func (s Settings) name() string { return settingNames[bits.TrailingZeros16(uint16(s))] }
+
+// set returns the scoped settings cfg sets to a non-zero value.
+func (c Config) set() Settings {
+	var s Settings
+	for bit, on := range [...]bool{
+		c.Arrivals != "", c.QueueCap != 0,
+		c.Plans != "", c.Burst != 0, c.PipeCap != 0,
+		c.Faults != "", c.Deadline != 0, c.SLOBudget != 0,
+		c.Trace != nil, c.Metrics != nil, c.Profile != nil,
+	} {
+		if on {
+			s |= 1 << bit
+		}
+	}
+	return s
+}
+
 // Descriptor registers one reproducible artifact.
 type Descriptor struct {
 	// ID is the identifier used across DESIGN.md, EXPERIMENTS.md, the CLI
@@ -239,6 +287,11 @@ type Descriptor struct {
 	ID string
 	// Title summarises what the paper artifact shows.
 	Title string
+	// Reads declares the scoped settings Run reads; a sink it reads records
+	// the experiment's designated cell. It is the one place that says which
+	// experiment reads which setting: Validate checks a Config against it,
+	// and no caller keeps its own copy.
+	Reads Settings
 	// Run regenerates the artifact.
 	Run func(Config) []*table.Table
 }
@@ -265,7 +318,74 @@ func Find(id string) (Descriptor, bool) {
 	return Descriptor{}, false
 }
 
-// Run executes the experiment with the given ID.
+// Validate checks cfg against the experiments about to run, before any
+// work: every id must be registered, Scale must be empty or a known scale,
+// no integer setting may be negative, Arrivals, Plans and Faults must parse,
+// every scoped setting that is set must be read by at least one of ids, and
+// a sink (Trace, Metrics, Profile) needs exactly one id, because it records
+// one experiment's designated cell. With no ids every scoped setting is
+// rejected.
+func Validate(cfg Config, ids ...string) error {
+	var reads Settings
+	for _, id := range ids {
+		d, ok := Find(id)
+		if !ok {
+			return fmt.Errorf("experiments: unknown experiment %q", id)
+		}
+		reads |= d.Reads
+	}
+	switch cfg.Scale {
+	case "", Tiny, Small, Paper:
+	default:
+		return fmt.Errorf("experiments: unknown scale %q (want tiny, small or paper)", cfg.Scale)
+	}
+	for _, v := range []struct {
+		name string
+		v    int
+	}{
+		{"Window (-window)", cfg.Window}, {"Workers (-workers)", cfg.Workers}, {"Parallel (-parallel)", cfg.Parallel},
+		{QueueCap.name(), cfg.QueueCap}, {Burst.name(), cfg.Burst}, {PipeCap.name(), cfg.PipeCap},
+		{Deadline.name(), cfg.Deadline}, {SLOBudget.name(), cfg.SLOBudget},
+	} {
+		if v.v < 0 {
+			return fmt.Errorf("experiments: %s must be non-negative, got %d", v.name, v.v)
+		}
+	}
+	if _, err := serve.ParseArrivals(cfg.Arrivals, 1); err != nil {
+		return fmt.Errorf("experiments: Arrivals (-arrivals): %w", err)
+	}
+	if _, err := selectPipePlans(cfg.Plans); err != nil {
+		return err
+	}
+	if cfg.Faults != "" {
+		if _, err := fault.ParseSpec(cfg.Faults); err != nil {
+			return fmt.Errorf("experiments: Faults (-faults): %w", err)
+		}
+	}
+	set := cfg.set()
+	if unread := set &^ reads; unread != 0 {
+		s := unread & -unread // the lowest unread setting
+		var readers []string
+		for _, d := range Registry() {
+			if d.Reads&s != 0 {
+				readers = append(readers, d.ID)
+			}
+		}
+		on := "without an experiment"
+		if len(ids) > 0 {
+			on = "on " + strings.Join(ids, ", ")
+		}
+		return fmt.Errorf("experiments: %s has no effect %s; only %s read it", s.name(), on, strings.Join(readers, ", "))
+	}
+	if sinks := set & Sinks; sinks != 0 && len(ids) != 1 {
+		return fmt.Errorf("experiments: %s records one experiment's designated cell, so it needs exactly one experiment, not %d",
+			sinks.name(), len(ids))
+	}
+	return nil
+}
+
+// Run executes the experiment with the given ID. It does not check cfg;
+// callers with outside input call Validate first.
 func Run(id string, cfg Config) ([]*table.Table, error) {
 	d, ok := Find(id)
 	if !ok {

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"amac/internal/memsim"
+	"amac/internal/obs"
 	"amac/internal/ops"
+	"amac/internal/prof"
 	"amac/internal/relation"
 )
 
@@ -46,14 +48,46 @@ func TestFindUnknown(t *testing.T) {
 	}
 }
 
-func TestParseScale(t *testing.T) {
-	for _, s := range []string{"tiny", "small", "paper"} {
-		if _, err := ParseScale(s); err != nil {
-			t.Fatalf("ParseScale(%q): %v", s, err)
-		}
+// TestValidate drives Validate over configs and experiment sets: the
+// unscoped checks apply to every run, and a scoped setting passes only when
+// an experiment about to run declares that it reads it.
+func TestValidate(t *testing.T) {
+	var all []string
+	for _, d := range Registry() {
+		all = append(all, d.ID)
 	}
-	if _, err := ParseScale("huge"); err == nil {
-		t.Fatal("invalid scale accepted")
+	cases := []struct {
+		name    string
+		cfg     Config
+		ids     []string
+		wantErr string // substring; empty means valid
+	}{
+		{name: "zero config, no ids", cfg: Config{}},
+		{name: "tiny", cfg: Config{Scale: Tiny}, ids: []string{"fig6"}},
+		{name: "small", cfg: Config{Scale: Small}, ids: []string{"fig6"}},
+		{name: "paper", cfg: Config{Scale: Paper}, ids: []string{"fig6"}},
+		{name: "unknown scale", cfg: Config{Scale: "huge"}, ids: []string{"fig6"}, wantErr: "unknown scale"},
+		{name: "unknown id", ids: []string{"fig6", "nope"}, wantErr: `unknown experiment "nope"`},
+		{name: "pipeN reads the serving pair", cfg: Config{Arrivals: "bursty", QueueCap: 64}, ids: []string{"pipeN"}},
+		{name: "all reads every scoped knob", cfg: Config{Arrivals: "bursty", QueueCap: 8, Plans: "agg", Burst: 4, PipeCap: 8, Faults: "rand:1", Deadline: 9, SLOBudget: 9}, ids: all},
+		{name: "one unread setting among ids", cfg: Config{Burst: 4}, ids: []string{"serveN", "faultN"}, wantErr: "Burst (-burst) has no effect on serveN, faultN; only pipeN read it"},
+		{name: "no ids", cfg: Config{Deadline: 5}, wantErr: "has no effect without an experiment"},
+		{name: "sink with two ids", cfg: Config{Metrics: obs.NewMetrics(0)}, ids: []string{"serveN", "obsN"}, wantErr: "needs exactly one experiment, not 2"},
+		{name: "sink with one id", cfg: Config{Profile: prof.NewProfile()}, ids: []string{"profN"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := Validate(tc.cfg, tc.ids...)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("unexpected error: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %v does not contain %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 

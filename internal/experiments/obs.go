@@ -12,6 +12,7 @@ func init() {
 	register(Descriptor{
 		ID:    "obsN",
 		Title: "Observability replay: the adaptive controller's decision timeline on a phase-shift workload",
+		Reads: Trace | Metrics,
 		Run:   obsN,
 	})
 }

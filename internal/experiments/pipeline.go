@@ -20,6 +20,7 @@ func init() {
 	register(Descriptor{
 		ID:    "pipeN",
 		Title: "Streaming multi-operator pipelines: cost-seeded mini-planner versus uniform and exhaustive static per-stage assignments",
+		Reads: Serving | Pipeline | Trace,
 		Run:   pipeN,
 	})
 }
@@ -52,20 +53,9 @@ const (
 // pipePlanNames lists every pipeN plan in execution order.
 var pipePlanNames = []string{pipeAggPlan, pipeBSTPlan, pipeChainPlan}
 
-// PipePlanNames returns the names of the pipeline experiment's plans, in the
-// order pipeN runs them.
-func PipePlanNames() []string { return append([]string(nil), pipePlanNames...) }
-
-// ValidatePipePlans checks a Config.Plans filter: comma-separated,
-// case-insensitive substring tokens, each of which must match at least one
-// pipeN plan name. The empty filter (run everything) is valid.
-func ValidatePipePlans(filter string) error {
-	_, err := selectPipePlans(filter)
-	return err
-}
-
 // selectPipePlans resolves a Plans filter to the set of selected plan names
-// (nil means every plan).
+// (nil means every plan). The filter is comma-separated, case-insensitive
+// substring tokens, each of which must match at least one plan name.
 func selectPipePlans(filter string) (map[string]bool, error) {
 	if filter == "" {
 		return nil, nil
@@ -453,8 +443,8 @@ func pipeN(cfg Config) []*table.Table {
 		burst: cfg.Burst, pipeCap: cfg.PipeCap}
 	machine := memsim.XeonX5670()
 	plans := pipePlans(machine, ps, cfg.seed(), adaptConfig(sz))
-	// The -plans filter was validated at the CLI boundary; an invalid filter
-	// reaching this far is a programming error, so it just runs everything.
+	// Validate rejects a filter that does not resolve; one that reaches here
+	// through the unchecked Run runs every plan.
 	if sel, err := selectPipePlans(cfg.Plans); err == nil && sel != nil {
 		kept := plans[:0]
 		for _, p := range plans {

@@ -15,6 +15,7 @@ func init() {
 	register(Descriptor{
 		ID:    "profN",
 		Title: "Cycle attribution: where every simulated cycle goes, per technique, batch and serving",
+		Reads: Profile,
 		Run:   profN,
 	})
 }

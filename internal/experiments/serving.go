@@ -17,6 +17,7 @@ func init() {
 	register(Descriptor{
 		ID:    "serveN",
 		Title: "Streaming request service: arrival-rate sweep, throughput and tail latency per technique (Xeon)",
+		Reads: Serving | Trace | Metrics | Profile,
 		Run:   serveN,
 	})
 }

@@ -16,6 +16,7 @@ func init() {
 	register(Descriptor{
 		ID:    "faultN",
 		Title: "Fault injection: graceful degradation of the streaming service under shard faults (Xeon, AMAC)",
+		Reads: Serving | Faults | Deadline | SLOBudget | Trace | Metrics,
 		Run:   faultN,
 	})
 }

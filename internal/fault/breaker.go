@@ -106,9 +106,6 @@ func NewBreaker(shard int, cfg BreakerConfig) *Breaker {
 // State returns the breaker's position.
 func (b *Breaker) State() State { return b.state }
 
-// Health returns the EWMA timeout fraction (0 = healthy).
-func (b *Breaker) Health() float64 { return b.ewma }
-
 // Transitions returns every state change so far, in order.
 func (b *Breaker) Transitions() []Transition { return b.trans }
 

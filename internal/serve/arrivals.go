@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"amac/internal/xrand"
 )
@@ -17,7 +18,8 @@ type ArrivalProcess interface {
 	// "bursty").
 	Name() string
 	// Schedule returns n non-decreasing arrival cycles. It is deterministic
-	// given the seed.
+	// given the seed. The clock saturates at 2^64-1 instead of wrapping, so
+	// the schedule is non-decreasing whatever the process's parameters.
 	Schedule(n int, seed uint64) []uint64
 }
 
@@ -40,7 +42,11 @@ func (d Deterministic) Schedule(n int, seed uint64) []uint64 {
 	}
 	out := make([]uint64, n)
 	for i := range out {
-		out[i] = uint64(i) * period
+		hi, lo := bits.Mul64(uint64(i), period)
+		if hi != 0 {
+			lo = math.MaxUint64
+		}
+		out[i] = lo
 	}
 	return out
 }
@@ -50,7 +56,8 @@ func (d Deterministic) Schedule(n int, seed uint64) []uint64 {
 // Deterministic{MeanPeriod} but with natural short-term bursts that probe a
 // service's headroom.
 type Poisson struct {
-	// MeanPeriod is the mean inter-arrival gap in cycles (minimum 1).
+	// MeanPeriod is the mean inter-arrival gap in cycles (minimum 1; NaN
+	// runs at the minimum too).
 	MeanPeriod float64
 }
 
@@ -60,7 +67,7 @@ func (p Poisson) Name() string { return "poisson" }
 // Schedule implements ArrivalProcess.
 func (p Poisson) Schedule(n int, seed uint64) []uint64 {
 	mean := p.MeanPeriod
-	if mean < 1 {
+	if !(mean >= 1) {
 		mean = 1
 	}
 	rng := xrand.New(seed)
@@ -68,8 +75,13 @@ func (p Poisson) Schedule(n int, seed uint64) []uint64 {
 	t := 0.0
 	for i := range out {
 		// Inverse-CDF sampling; 1-U is in (0, 1] so the log is finite.
+		// An infinite mean can make t NaN (Inf*0), which saturates too.
 		t += -mean * math.Log(1-rng.Float64())
-		out[i] = uint64(t)
+		if t < 1<<64 {
+			out[i] = uint64(t)
+		} else {
+			out[i] = math.MaxUint64
+		}
 	}
 	return out
 }
@@ -105,13 +117,21 @@ func (b Bursty) Schedule(n int, seed uint64) []uint64 {
 	t := uint64(0)
 	for i := range out {
 		out[i] = t
+		t = satAdd(t, period)
 		if (i+1)%burst == 0 {
-			t += period + b.Off
-		} else {
-			t += period
+			t = satAdd(t, b.Off)
 		}
 	}
 	return out
+}
+
+// satAdd returns a+b, or 2^64-1 if the sum overflows.
+func satAdd(a, b uint64) uint64 {
+	sum, carry := bits.Add64(a, b, 0)
+	if carry != 0 {
+		return math.MaxUint64
+	}
+	return sum
 }
 
 // maxPeriod bounds ParseArrivals' mean period at 2^32 cycles (seconds of

@@ -2,7 +2,9 @@ package serve_test
 
 import (
 	"bytes"
+	"math"
 	"regexp"
+	"slices"
 	"testing"
 
 	"amac/internal/adapt"
@@ -48,6 +50,41 @@ func TestArrivalSchedules(t *testing.T) {
 				if sched[i] != again[i] {
 					t.Fatal("schedules must be deterministic for a fixed seed")
 				}
+			}
+		})
+	}
+}
+
+// TestArrivalSchedulesSaturate: processes built directly, with periods too
+// large or not finite, saturate their clock at 2^64-1 instead of wrapping,
+// and a NaN mean runs at the 1-cycle minimum.
+func TestArrivalSchedulesSaturate(t *testing.T) {
+	const max = math.MaxUint64
+	cases := []struct {
+		name string
+		proc serve.ArrivalProcess
+		n    int
+		want []uint64 // nil: only check monotonicity
+	}{
+		{name: "deterministic 2^63", proc: serve.Deterministic{Period: 1 << 63}, n: 3, want: []uint64{0, 1 << 63, max}},
+		{name: "deterministic 2^62", proc: serve.Deterministic{Period: 1 << 62}, n: 5, want: []uint64{0, 1 << 62, 1 << 63, 3 << 62, max}},
+		{name: "bursty wraps on off gap", proc: serve.Bursty{Period: 1 << 63, BurstLen: 2, Off: 1 << 63}, n: 4, want: []uint64{0, 1 << 63, max, max}},
+		{name: "bursty max period", proc: serve.Bursty{Period: max, BurstLen: 1}, n: 3, want: []uint64{0, max, max}},
+		{name: "poisson NaN", proc: serve.Poisson{MeanPeriod: math.NaN()}, n: 64, want: serve.Poisson{MeanPeriod: 1}.Schedule(64, 9)},
+		{name: "poisson +Inf", proc: serve.Poisson{MeanPeriod: math.Inf(1)}, n: 4, want: []uint64{max, max, max, max}},
+		{name: "poisson 1e300", proc: serve.Poisson{MeanPeriod: 1e300}, n: 4, want: []uint64{max, max, max, max}},
+		{name: "poisson 2^62", proc: serve.Poisson{MeanPeriod: 1 << 62}, n: 64},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sched := tc.proc.Schedule(tc.n, 9)
+			for i := 1; i < len(sched); i++ {
+				if sched[i] < sched[i-1] {
+					t.Fatalf("schedule not monotone at %d: %v", i, sched)
+				}
+			}
+			if tc.want != nil && !slices.Equal(sched, tc.want) {
+				t.Fatalf("schedule = %v, want %v", sched, tc.want)
 			}
 		})
 	}
